@@ -90,13 +90,15 @@ class PowerModel:
     max_power: float  # watts
 
     def __post_init__(self) -> None:
-        if self.circuit_power < 0.0:
-            raise ValueError(f"circuit power must be >= 0, got {self.circuit_power}")
-        if self.inv_drain_eff <= 0.0:
-            raise ValueError(f"inverse drain efficiency must be > 0, got {self.inv_drain_eff}")
-        if not 0.0 < self.tx_power <= self.max_power:
+        if not 0.0 <= self.circuit_power < math.inf:
+            raise ValueError(f"circuit power must be finite and >= 0, got {self.circuit_power}")
+        if not 0.0 < self.inv_drain_eff < math.inf:
             raise ValueError(
-                f"transmit power must satisfy 0 < Pt <= Pmax, "
+                f"inverse drain efficiency must be finite and > 0, got {self.inv_drain_eff}"
+            )
+        if not 0.0 < self.tx_power <= self.max_power < math.inf:
+            raise ValueError(
+                f"transmit power must satisfy 0 < Pt <= Pmax, both finite, "
                 f"got Pt={self.tx_power}, Pmax={self.max_power}"
             )
 
@@ -121,10 +123,10 @@ class EnergyParams:
     tx_energy: float  # joules per transmission slot
 
     def __post_init__(self) -> None:
-        if self.sense_energy < 0.0:
-            raise ValueError(f"sense energy must be >= 0, got {self.sense_energy}")
-        if self.tx_energy < 0.0:
-            raise ValueError(f"tx energy must be >= 0, got {self.tx_energy}")
+        if not 0.0 <= self.sense_energy < math.inf:
+            raise ValueError(f"sense energy must be finite and >= 0, got {self.sense_energy}")
+        if not 0.0 <= self.tx_energy < math.inf:
+            raise ValueError(f"tx energy must be finite and >= 0, got {self.tx_energy}")
 
 
 @dataclass(frozen=True)

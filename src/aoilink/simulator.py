@@ -10,10 +10,12 @@ Two independent estimators of the average age and average energy:
   sensing events are deterministic functions of it.
 
 Randomness comes from numpy's default generator (PCG64) seeded with
-``SimConfig.seed``. The slot estimator draws ``horizon_slots`` uniforms up
-front, one per slot in slot order; the cycle estimator draws one geometric
-variate per cycle. Identical configs therefore produce bit-identical
-results on the same build of this package.
+``SimConfig.seed``. The slot estimator draws one uniform per slot in slot
+order and streams them through one numpy kernel (:func:`_slot_chunk`) in
+chunks of ``_CHUNK`` slots; PCG64 yields the same stream whether drawn at
+once or in chunks. The cycle estimator draws one geometric variate per
+cycle. Identical configs therefore produce bit-identical results on the
+same build of this package.
 
 Timing convention: sensing happens instantly at slot start, the ACK/NACK is
 revealed at slot end, and on a success the age resets at slot end to the
@@ -22,11 +24,10 @@ number of slots the delivered packet spent in transmission.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +44,8 @@ __all__ = [
     "age_trace",
     "write_age_trace",
 ]
+
+_CHUNK = 1 << 16  # slots per kernel call; bounds the slot estimator's memory
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,34 @@ class SlotEvent:
     age_end: int  # age at slot end, after any reset
 
 
+def _slot_chunk(fails: np.ndarray, max_tx: int, k: int, last: int):
+    """Advance the slot state machine over one chunk of channel outcomes.
+
+    The state is ``k``, the slots since the last delivery (or since t=0),
+    and ``last``, the transmission count of the last delivered packet (0
+    before any). A slot with state ``(k_i, last_i)`` makes transmission
+    ``k_i % max_tx + 1`` of its packet (sensed fresh when that is 1) and
+    starts at age ``last_i + k_i``. Returns the per-slot transmission counts
+    and start ages, and the state leaving the chunk.
+    """
+    c = fails.size
+    pos = np.arange(c + 1)
+    # Chunk index at which the current cycle began; -k before the first delivery.
+    begin = np.maximum.accumulate(np.concatenate(([-k], np.where(fails, -k, pos[1:]))))
+    since = pos - begin
+    # Every k_i is below k + c, so a larger limit never binds (and cannot overflow).
+    tx = since[:c] % min(max_tx, k + c) + 1
+    delivered = np.concatenate(([last], tx))[np.maximum(begin, 0)]
+    return tx, delivered[:c] + since[:c], int(since[c]), int(delivered[c])
+
+
 class SlotMachine:
     """Slot-level state machine of the sense/transmit/feedback loop.
 
-    Drive it with one channel outcome per slot (True = failure). Used by the
-    trace exporter and as the replayable surface for equivalence tests; the
-    bulk simulator inlines the same transitions for speed.
+    Drive it with channel outcomes (True = failure), one slot or one chunk at
+    a time. Its transitions are those of :func:`_slot_chunk`, the kernel that
+    the slot estimator and the trace exporter also run, so the replayable
+    surface used by the equivalence tests is the code that produces results.
     """
 
     def __init__(self, max_tx: int):
@@ -129,42 +154,33 @@ class SlotMachine:
             raise ValueError(f"max_tx must be >= 1, got {max_tx}")
         self.max_tx = max_tx
         self.slot = 0
-        self.age = 0
-        self.tx_count = 0  # 0 means a fresh packet is sensed next slot
+        self.k = 0  # slots since the last delivery
+        self.last = 0  # transmissions of the last delivered packet
+
+    def advance(self, fails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot transmission counts and start ages for a bool array of outcomes."""
+        tx, age, self.k, self.last = _slot_chunk(fails, self.max_tx, self.k, self.last)
+        self.slot += fails.size
+        return tx, age
 
     def step(self, fail: bool) -> SlotEvent:
-        sensed = self.tx_count == 0
-        self.tx_count += 1
-        txc = self.tx_count
-        age_start = self.age
-        if fail:
-            self.age += 1
-            if txc == self.max_tx:
-                self.tx_count = 0  # abandon; sense a fresh packet next slot
-        else:
-            # Age at the reception instant equals the slots this packet
-            # spent in transmission.
-            self.age = txc
-            self.tx_count = 0
-        event = SlotEvent(
-            slot=self.slot,
-            sensed=sensed,
-            tx_count=txc,
-            success=not fail,
-            age_start=age_start,
-            age_end=self.age,
-        )
-        self.slot += 1
-        return event
+        return self.replay([fail])[0]
 
     def replay(self, fails: Iterable[bool]) -> list[SlotEvent]:
-        return [self.step(bool(f)) for f in fails]
+        fails = np.fromiter(fails, dtype=bool)
+        first = self.slot
+        tx, age = self.advance(fails)
+        age_end = np.where(fails, age + 1, tx)
+        rows = zip(fails.tolist(), tx.tolist(), age.tolist(), age_end.tolist())
+        return [SlotEvent(first + i, t == 1, t, not f, a, e) for i, (f, t, a, e) in enumerate(rows)]
 
 
-def _slot_failures(link: LinkSpec, seed: int, n: int) -> list[bool]:
-    """Draw the per-slot failure outcomes (one uniform per slot)."""
+def _draws(link: LinkSpec, seed: int, n: int) -> Iterator[np.ndarray]:
+    """Per-slot failure outcomes of an n-slot run, one uniform per slot, by chunk."""
     rng = np.random.default_rng(seed)
-    return (rng.random(n) < failure_prob(link)).tolist()
+    p = failure_prob(link)
+    for start in range(0, n, _CHUNK):
+        yield rng.random(min(_CHUNK, n - start)) < p
 
 
 def _batch_stderr(batch_means: np.ndarray) -> float:
@@ -182,44 +198,34 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
     divided by their count; since the age is piecewise linear with unit
     slope, each slot contributes its start age plus one half.
     """
-    max_tx = cfg.policy.max_tx
     n = cfg.horizon_slots
     warmup = cfg.warmup_slots
     kept = n - warmup
     width = kept // cfg.batches
-    last_mark = warmup + width * cfg.batches
-    fails = _slot_failures(cfg.link, cfg.seed, n)
+    marks = warmup + width * np.arange(1, cfg.batches + 1)  # slot counts ending each batch
 
-    age = 0
-    tx_count = 0
-    packets = 0
-    successes = 0
+    machine = SlotMachine(cfg.policy.max_tx)
+    packets = successes = 0
     age_sum = 0  # integer sum of post-warmup slot-start ages (exact)
     senses = 0  # post-warmup sensing events
     age_marks: list[int] = []
     sense_marks: list[int] = []
-    next_mark = warmup + width
-
-    for i, fail in enumerate(fails):
-        if tx_count == 0:
-            packets += 1
-            if i >= warmup:
-                senses += 1
-        tx_count += 1
-        if i >= warmup:
-            age_sum += age
-        if fail:
-            age += 1
-            if tx_count == max_tx:
-                tx_count = 0
-        else:
-            successes += 1
-            age = tx_count
-            tx_count = 0
-        if i + 1 == next_mark:
-            age_marks.append(age_sum)
-            sense_marks.append(senses)
-            next_mark = next_mark + width if next_mark < last_mark else -1
+    for fails in _draws(cfg.link, cfg.seed, n):
+        first = machine.slot
+        tx, age = machine.advance(fails)
+        sensed = tx == 1
+        packets += int(np.count_nonzero(sensed))
+        successes += fails.size - int(np.count_nonzero(fails))
+        lo = max(warmup - first, 0)
+        if lo >= fails.size:
+            continue
+        age_cum = np.cumsum(age[lo:])  # int64-exact: _CHUNK ages, each below 2 * horizon
+        sense_cum = np.cumsum(sensed[lo:])
+        ends = marks[(marks > first + lo) & (marks <= machine.slot)] - (first + lo + 1)
+        age_marks += [age_sum + v for v in age_cum[ends].tolist()]
+        sense_marks += [senses + v for v in sense_cum[ends].tolist()]
+        age_sum += int(age_cum[-1])
+        senses += int(sense_cum[-1])
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
     batch_age = np.diff(np.asarray(age_marks, dtype=float), prepend=0.0)
@@ -252,8 +258,10 @@ def sample_cycles(
         raise ValueError(f"cycle count must be >= 1, got {cycles}")
     rng = np.random.default_rng(seed)
     lengths = rng.geometric(1.0 - failure_prob(link), size=cycles)
-    delivered = (lengths - 1) % policy.max_tx + 1
-    sensed = (lengths + policy.max_tx - 1) // policy.max_tx
+    # No cycle is longer than the longest, so a larger limit never binds.
+    max_tx = min(policy.max_tx, int(lengths.max()))
+    delivered = (lengths - 1) % max_tx + 1
+    sensed = (lengths + max_tx - 1) // max_tx
     return lengths, delivered, sensed
 
 
@@ -299,28 +307,41 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
     )
 
 
+def _trace_length(cfg: SimConfig, slots: int | None) -> int:
+    n = cfg.horizon_slots if slots is None else slots
+    if n < 1:
+        raise ValueError(f"trace length must be >= 1, got {n}")
+    return n
+
+
 def age_trace(cfg: SimConfig, slots: int | None = None) -> list[SlotEvent]:
     """Replay the slot state machine and return the per-slot events.
 
     Uses the same seed and draw discipline as :func:`run_slot_sim`, so the
     trace describes exactly the run that produced the estimates.
     """
-    n = cfg.horizon_slots if slots is None else slots
-    if n < 1:
-        raise ValueError(f"trace length must be >= 1, got {n}")
     machine = SlotMachine(cfg.policy.max_tx)
-    return machine.replay(_slot_failures(cfg.link, cfg.seed, n))
+    events: list[SlotEvent] = []
+    for fails in _draws(cfg.link, cfg.seed, _trace_length(cfg, slots)):
+        events += machine.replay(fails)
+    return events
 
 
 def write_age_trace(cfg: SimConfig, path: str | Path, slots: int | None = None) -> None:
     """Export the age trace as CSV with columns ``slot,age,reset``.
 
     ``age`` is the age at slot end after any reset; ``reset`` is 1 on
-    delivery slots and 0 otherwise.
+    delivery slots and 0 otherwise. Rows are streamed chunk by chunk, so
+    memory stays flat in the trace length. The draws are those of
+    :func:`run_slot_sim` with the same config.
     """
-    events = age_trace(cfg, slots)
+    n = _trace_length(cfg, slots)
+    machine = SlotMachine(cfg.policy.max_tx)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot", "age", "reset"])
-        for ev in events:
-            writer.writerow([ev.slot, ev.age_end, int(ev.success)])
+        fh.write("slot,age,reset\n")
+        for fails in _draws(cfg.link, cfg.seed, n):
+            first = machine.slot
+            tx, age = machine.advance(fails)
+            slot = np.arange(first, machine.slot)
+            rows = np.column_stack((slot, np.where(fails, age + 1, tx), ~fails))
+            fh.write("%d,%d,%d\n" * fails.size % tuple(rows.ravel().tolist()))

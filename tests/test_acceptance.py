@@ -10,6 +10,7 @@ exhaustive replay oracle, and the simulator-vs-closed-form grid.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from conftest import cycles_from_rows, reference_trace
 
@@ -25,12 +26,13 @@ from aoilink.analytic import (
     sense_count_mean,
     sense_count_pmf,
 )
-from aoilink.simulator import SlotMachine
+from aoilink.simulator import SlotMachine, _slot_chunk
 from aoilink.sweep import MSweep, PowerSweep, m_sweep, power_sweep
 from aoilink.validation import build_report
 
 ET_REF = 4.02308
 REF_ENERGY = EnergyParams(ET_REF, ET_REF)
+SPLIT_MAX_LEN = 10
 
 
 def test_acceptance_1_max_energy_at_single_transmission():
@@ -109,9 +111,20 @@ def test_acceptance_5_identity_suite():
     print("ACCEPTANCE 5 (closed-form identities and pmf normalization @1e-12): PASS")
 
 
+def _reference_state(rows):
+    """(slots since the last delivery, tx count of the last delivered packet)
+    after the replayed rows, read off the reference interpreter's output."""
+    delivered = [i for i, r in enumerate(rows) if r["success"]]
+    if not delivered:
+        return len(rows), 0
+    return len(rows) - delivered[-1] - 1, rows[delivered[-1]]["tx_count"]
+
+
 def test_acceptance_6_exhaustive_replay_oracle():
     checked_cycles = 0
+    checked_splits = 0
     for max_tx in (1, 2, 3):
+        state_after = {(): (0, 0)}  # prefix -> kernel state leaving it
         for length in range(13):
             for bits in itertools.product((False, True), repeat=length):
                 fails = list(bits)
@@ -126,10 +139,27 @@ def test_acceptance_6_exhaustive_replay_oracle():
                     assert delivered == (cycle_len - 1) % max_tx + 1
                     assert senses == math.ceil(cycle_len / max_tx)
                     checked_cycles += 1
+
+                # The chunk kernel, split at every position: the first chunk
+                # is the prefix (itself an enumerated sequence, whose state
+                # was checked when it was replayed whole), the second resumes
+                # from the state the prefix left.
+                tx_ref = [r["tx_count"] for r in rows]
+                age_ref = [r["age_start"] for r in rows]
+                for split in range(length) if 0 < length <= SPLIT_MAX_LEN else (0,):
+                    k, last = state_after[bits[:split]]
+                    rest = np.array(bits[split:], dtype=bool)
+                    tx, age, k, last = _slot_chunk(rest, max_tx, k, last)
+                    assert tx.tolist() == tx_ref[split:]
+                    assert age.tolist() == age_ref[split:]
+                    checked_splits += 1
+                assert (k, last) == _reference_state(rows)
+                state_after[bits] = (k, last)
     assert checked_cycles > 0
     print(
         f"ACCEPTANCE 6 (exhaustive replay, strings <= 12 slots, M in 1..3, "
-        f"{checked_cycles} cycles verified): PASS"
+        f"{checked_cycles} cycles verified; chunk kernel split at every position "
+        f"of strings <= {SPLIT_MAX_LEN} slots, {checked_splits} splits): PASS"
     )
 
 

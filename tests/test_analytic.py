@@ -184,6 +184,10 @@ def test_power_model_rejects_bad_params():
         PowerModel(0.0, 0.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         PowerModel(0.0, 1.0, 0.2, 0.1)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0, 0.1, 0.1), (0.0, bad, 0.1, 0.1), (0.0, 1.0, 0.1, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                PowerModel(*args)
 
 
 def test_energy_params_reject_negative():
@@ -191,6 +195,11 @@ def test_energy_params_reject_negative():
         EnergyParams(-1.0, 0.0)
     with pytest.raises(ValueError):
         EnergyParams(0.0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyParams(bad, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            EnergyParams(0.0, bad)
 
 
 def test_ops_reject_bad_p_and_max_tx():

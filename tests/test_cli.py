@@ -250,6 +250,35 @@ def test_invalid_probability_exit_2(capsys):
     assert "probability" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--es", "nan", "--et", "4"],
+        ["--es", "1", "--et", "inf"],
+        ["--es", "1", "--pc", "nan", "--eta", "19.2308", "--rate", "2", "--pt-dbm", "20",
+         "--snr-ref-db", "20", "--p-ref-dbm", "20"],
+    ],
+)
+def test_non_finite_energy_exits_2(capsys, argv):
+    link = [] if "--rate" in argv else ["--p", "0.4"]
+    code, out, err = run_cli(capsys, ["analytic", *link, "--M", "6", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("estimator", ["slot", "cycle"])
+def test_simulate_huge_max_tx_exits_0(capsys, estimator):
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--estimator", estimator, "--p", "0.4", "--M", str(10**20),
+         "--es", "1", "--et", "1", "--horizon", "20000"],
+    )
+    assert code == 0, err
+    assert csv_rows(out)[0]["M"] == str(10**20)
+
+
 def test_no_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys, [])
     assert code == 2

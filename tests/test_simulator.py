@@ -143,6 +143,25 @@ def test_machine_matches_reference(fails, max_tx):
 
 
 @given(
+    st.lists(st.booleans(), min_size=0, max_size=200),
+    st.sampled_from([1, 2, 3, 5, 10**20]),
+    st.lists(st.integers(min_value=0, max_value=200), max_size=4),
+)
+def test_chunked_replay_matches_reference(fails, max_tx, cuts):
+    # One machine fed in chunks carries its state across every cut.
+    machine = SlotMachine(max_tx)
+    bounds = [0, *sorted(min(c, len(fails)) for c in cuts), len(fails)]
+    events = [e for a, b in zip(bounds, bounds[1:]) for e in machine.replay(fails[a:b])]
+    rows, _ = reference_trace(fails, max_tx)
+    assert [
+        (e.slot, e.sensed, e.tx_count, e.success, e.age_start, e.age_end) for e in events
+    ] == [
+        (r["slot"], r["sensed"], r["tx_count"], r["success"], r["age_start"], r["age_end"])
+        for r in rows
+    ]
+
+
+@given(
     st.lists(st.booleans(), min_size=1, max_size=200),
     st.integers(min_value=1, max_value=5),
 )
@@ -165,7 +184,7 @@ def test_known_cycle_shapes():
 
 @pytest.mark.parametrize("p, max_tx", [(0.3, 2), (0.7, 4), (0.05, 1)])
 def test_slot_sim_matches_machine_replay(p, max_tx):
-    """The bulk simulator's inlined loop must agree with SlotMachine exactly."""
+    """The estimator's chunked sums and counts must agree with per-event sums."""
     cfg = make_config(p=p, max_tx=max_tx, es=1.25, et=0.5, horizon=20_000, warmup=500)
     res = run_slot_sim(cfg)
 
@@ -263,3 +282,10 @@ def test_write_age_trace_csv(tmp_path):
     events = age_trace(cfg, slots=250)
     for row, ev in zip(rows[1:], events):
         assert row == [str(ev.slot), str(ev.age_end), str(int(ev.success))]
+
+
+def test_write_age_trace_rejects_empty_trace_before_opening(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError):
+        write_age_trace(make_config(), path, slots=0)
+    assert not path.exists()
