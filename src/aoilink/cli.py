@@ -17,11 +17,13 @@ with dashes or underscores; explicit flags win. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from .analytic import (
     EnergyParams,
@@ -46,6 +48,7 @@ from .output import (
 )
 from .simulator import SimConfig, run_cycle_sim, run_slot_sim, write_age_trace
 from .sweep import (
+    MAX_GRID_POINTS,
     EsSweep,
     MSweep,
     PowerSweep,
@@ -76,7 +79,8 @@ def parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def parse_int_list(text: str, flag: str) -> list[int]:
-    """Comma-separated integers where each item may be an inclusive a..b range."""
+    """Comma-separated integers where each item may be an inclusive a..b range;
+    ranges are counted before expansion, to at most MAX_GRID_POINTS values."""
     values: list[int] = []
     for item in str(text).split(","):
         if item == "":
@@ -87,11 +91,13 @@ def parse_int_list(text: str, flag: str) -> list[int]:
                 lo, hi = int(lo_text), int(hi_text)
                 if hi < lo:
                     raise CliError(f"{flag}: empty range {item!r}")
-                values.extend(range(lo, hi + 1))
             else:
-                values.append(int(item))
+                lo = hi = int(item)
         except ValueError:
             raise CliError(f"{flag}: cannot parse {item!r} as an integer") from None
+        if len(values) + (hi - lo + 1) > MAX_GRID_POINTS:
+            raise CliError(f"{flag}: more than the limit of {MAX_GRID_POINTS} values")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise CliError(f"{flag}: expected integers or a..b ranges")
     return values
@@ -337,23 +343,23 @@ def _handle_simulate(args) -> tuple[int, str]:
     else:
         result = run_slot_sim(cfg)
         if args.trace is not None:
-            _atomic_trace(cfg, args.trace)
+            _atomic_write(args.trace, lambda tmp: write_age_trace(cfg, tmp))
     emit = emit_result_csv if args.format == "csv" else emit_result_json
     return 0, emit(result, args.estimator, failure_prob(link), cfg.policy.max_tx)
 
 
-def _atomic_trace(cfg: SimConfig, path: str) -> None:
+def _atomic_write(path: str, write: Callable[[str], object]) -> None:
+    """Have ``write`` fill a ``.part`` file beside ``path``, then rename it
+    over ``path``; on any error the ``.part`` file is removed."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".part")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".part")
     os.close(fd)
     try:
-        write_age_trace(cfg, tmp)
+        write(tmp)
         os.replace(tmp, target)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -428,24 +434,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
     return _handle_validate(args)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -463,7 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"aoilink: error: {exc}", file=sys.stderr)
         return 1
     try:
-        _write_output(text, args.output)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            _atomic_write(args.output, lambda tmp: Path(tmp).write_text(text))
     except OSError as exc:
         print(f"aoilink: error: {exc}", file=sys.stderr)
         return 1

@@ -113,9 +113,15 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE
     return buf.getvalue()
 
 
+# json.dumps(..., indent=2) runs the pure-Python encoder; without an indent
+# the C encoder runs, so the row indentation lives in the item separator.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def rows_to_json(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
-    ordered = [{name: row.get(name) for name in fields} for row in rows]
-    return json.dumps(ordered, indent=2) + "\n"
+    """The text of ``json.dumps(rows, indent=2) + "\\n"``, rows keyed by ``fields`` (nonempty)."""
+    items = [_ROW_ENCODER.encode({name: row.get(name) for name in fields})[1:-1] for row in rows]
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(items) + "\n  }\n]\n" if items else "[]\n"
 
 
 def emit_csv(curves: Sequence[TradeoffCurve]) -> str:

@@ -294,14 +294,18 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
     blen = ylen[:m].reshape(cfg.batches, width).sum(axis=1)
     barea = areas[:m].reshape(cfg.batches, width).sum(axis=1)
     bsense = nsense[:m].reshape(cfg.batches, width).sum(axis=1)
+    if int(lengths.max()) * n < 2**63:
+        slots, packets = int(lengths.sum()), int(sensed.sum())
+    else:  # the int64 sums could wrap (p near 1): add as Python ints
+        slots, packets = sum(lengths.tolist()), sum(sensed.tolist())
 
     return SimResult(
         avg_aoi_est=float(areas.sum() / total_len),
         avg_energy_est=float(es * nsense.sum() / total_len + et),
         stderr_aoi=_batch_stderr(barea / blen),
         stderr_energy=_batch_stderr(es * bsense / blen + et),
-        slots=int(lengths.sum()),
-        packets_generated=int(sensed.sum()),
+        slots=slots,
+        packets_generated=packets,
         successes=n,
         seed=cfg.seed,
     )

@@ -43,6 +43,9 @@ __all__ = [
     "pareto_front",
 ]
 
+# Longest dBm grid or --M list a sweep may expand; checked before allocating.
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class MSweep:
@@ -90,12 +93,7 @@ class PowerSweep:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_tx_list", tuple(self.max_tx_list))
-        if self.dbm_step <= 0.0:
-            raise ValueError(f"dbm_step must be > 0, got {self.dbm_step}")
-        if self.dbm_min > self.dbm_max:
-            raise ValueError(
-                f"dbm_min must be <= dbm_max, got {self.dbm_min} > {self.dbm_max}"
-            )
+        _grid_count(self.dbm_min, self.dbm_max, self.dbm_step)
         if not self.max_tx_list:
             raise ValueError("max_tx_list must not be empty")
         for m in self.max_tx_list:
@@ -144,17 +142,27 @@ class TradeoffCurve:
         object.__setattr__(self, "points", tuple(self.points))
 
 
-def dbm_grid(dbm_min: float, dbm_max: float, dbm_step: float) -> list[float]:
-    """Inclusive dBm grid with floor((max - min) / step) + 1 points.
-
-    Built in dB space to avoid multiplicative drift; the ratio is nudged
-    before flooring so that exact multiples survive float rounding.
-    """
+def _grid_count(dbm_min: float, dbm_max: float, dbm_step: float) -> int:
+    if not all(map(math.isfinite, (dbm_min, dbm_max, dbm_step))):
+        raise ValueError(f"dBm bounds and step must be finite, got {dbm_min}, {dbm_max}, {dbm_step}")
     if dbm_step <= 0.0:
         raise ValueError(f"dbm_step must be > 0, got {dbm_step}")
     if dbm_min > dbm_max:
         raise ValueError(f"dbm_min must be <= dbm_max, got {dbm_min} > {dbm_max}")
-    count = math.floor((dbm_max - dbm_min) / dbm_step + 1e-9) + 1
+    ratio = (dbm_max - dbm_min) / dbm_step + 1e-9
+    if ratio >= MAX_GRID_POINTS:  # also catches a ratio that overflowed to inf
+        raise ValueError(f"dBm grid exceeds the limit of {MAX_GRID_POINTS} points")
+    return math.floor(ratio) + 1
+
+
+def dbm_grid(dbm_min: float, dbm_max: float, dbm_step: float) -> list[float]:
+    """Inclusive dBm grid with floor((max - min) / step) + 1 points.
+
+    Built in dB space to avoid multiplicative drift; the ratio is nudged
+    before flooring so that exact multiples survive float rounding. Bounds
+    and step must be finite, and the grid at most ``MAX_GRID_POINTS`` long.
+    """
+    count = _grid_count(dbm_min, dbm_max, dbm_step)
     return [dbm_min + i * dbm_step for i in range(count)]
 
 
@@ -226,34 +234,24 @@ def normalize_curve(curve: TradeoffCurve, normalizer: float) -> TradeoffCurve:
     )
 
 
-def _dominates(a: MetricPoint, b: MetricPoint) -> bool:
-    """Weak dominance in (avg_energy, avg_aoi) minimization."""
-    return (
-        a.avg_energy <= b.avg_energy
-        and a.avg_aoi <= b.avg_aoi
-        and (a.avg_energy < b.avg_energy or a.avg_aoi < b.avg_aoi)
-    )
-
-
 def pareto_front(points: Iterable[MetricPoint] | Sequence[MetricPoint]) -> list[MetricPoint]:
     """Filter to the non-dominated points, sorted by average energy.
 
     A point is dropped iff another point is no worse in both coordinates and
-    strictly better in one. Exact coordinate ties keep the earliest point by
-    input order.
+    strictly better in one; exact coordinate ties keep the earliest point by
+    input order. O(n log n), one sort and one sweep (Kung, Luccio and
+    Preparata, JACM 1975): in (avg_energy, avg_aoi, index) order each dropped
+    point follows a no-worse one, so a point survives iff its age is below
+    all ages before it. A NaN coordinate cannot be ordered: ValueError.
     """
     pts = list(points)
     if not pts:
         raise ValueError("pareto_front requires a nonempty point list")
-    survivors: list[tuple[int, MetricPoint]] = []
-    seen: set[tuple[float, float]] = set()
-    for i, pt in enumerate(pts):
-        if any(j != i and _dominates(other, pt) for j, other in enumerate(pts)):
-            continue
-        key = (pt.avg_energy, pt.avg_aoi)
-        if key in seen:
-            continue
-        seen.add(key)
-        survivors.append((i, pt))
-    survivors.sort(key=lambda item: (item[1].avg_energy, item[0]))
-    return [pt for _, pt in survivors]
+    if any(math.isnan(pt.avg_energy) or math.isnan(pt.avg_aoi) for pt in pts):
+        raise ValueError("pareto_front: a point has a NaN coordinate")
+    order = sorted(range(len(pts)), key=lambda i: (pts[i].avg_energy, pts[i].avg_aoi, i))
+    front = [pts[order[0]]]
+    for i in order[1:]:
+        if pts[i].avg_aoi < front[-1].avg_aoi:
+            front.append(pts[i])
+    return front

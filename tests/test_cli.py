@@ -1,16 +1,30 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoilink.analytic import EnergyParams
 from aoilink.cli import main, parse_float_list, parse_int_list
 from aoilink.cli import CliError
-from aoilink.output import emit_csv, emit_json, parse_csv, parse_json, rows_to_csv, rows_to_json
+from aoilink.output import (
+    CURVE_FIELDS,
+    RESULT_FIELDS,
+    emit_csv,
+    emit_json,
+    parse_csv,
+    parse_json,
+    rows_to_csv,
+    rows_to_json,
+)
 from aoilink.sweep import MSweep, m_sweep, normalize_curve
 
 REF = ["--es", "4.02308", "--et", "4.02308"]
+POWER_LINK = ["--rate", "2", "--snr-ref-db", "20", "--p-ref-dbm", "20",
+              "--pc", "2.1", "--eta", "19.2308", "--pmax-dbm", "20"]
 
 
 def run_cli(capsys, argv):
@@ -279,6 +293,55 @@ def test_simulate_huge_max_tx_exits_0(capsys, estimator):
     assert csv_rows(out)[0]["M"] == str(10**20)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--dbm-min", "2", "--dbm-max", "inf", "--dbm-step", "1"],
+        ["--dbm-min=-inf", "--dbm-max", "20", "--dbm-step", "1"],
+        ["--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "nan"],
+    ],
+)
+@pytest.mark.parametrize("kind", ["power", "es"])
+def test_non_finite_dbm_grid_exits_2(capsys, grid, kind):
+    energy = ["--es", "4.02308"] if kind == "power" else ["--base", "power", "--es-list", "1"]
+    code, out, err = run_cli(capsys, ["sweep", kind, *grid, "--M", "1..2", *energy, *POWER_LINK])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "m", "--p", "0.4", "--M", "1..1000000000", *REF],
+        ["sweep", "m", "--p", "0.4", "--M", "1..600000,1..600000", *REF],
+        ["sweep", "power", "--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "1e-12",
+         "--M", "1", "--es", "4.02308", *POWER_LINK],
+    ],
+)
+def test_oversize_grid_exits_2_before_allocating(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+    assert "limit of 1000000" in err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--trace"])
+def test_failed_atomic_write_leaves_no_part_file(tmp_path, capsys, flag):
+    blocker = tmp_path / "taken"
+    blocker.mkdir()  # renaming a file over a directory fails
+    code, _, err = run_cli(
+        capsys,
+        ["simulate", "--p", "0.4", "--M", "2", *REF, "--horizon", "300",
+         "--warmup", "50", "--batches", "2", flag, str(blocker)],
+    )
+    assert code == 1
+    assert "error" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+
+
 def test_no_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys, [])
     assert code == 2
@@ -422,3 +485,60 @@ def test_report_json_round_trip(capsys):
          "--cycles", "20000", "--seed", "5", "--format", "json"],
     )
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+# Non-ASCII labels, None, big ints, awkward floats: everything a flat row
+# can carry through json.dumps.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+)
+
+
+@settings(deadline=None)  # wall time varies with the drawn text; the result does not
+@given(
+    st.lists(
+        st.fixed_dictionaries(
+            {}, optional=dict.fromkeys(CURVE_FIELDS + RESULT_FIELDS, json_scalars)
+        ),
+        max_size=8,
+    ),
+    st.sampled_from([CURVE_FIELDS, RESULT_FIELDS]),
+)
+@example([{"label": "Es=1 \u00b5J \u2206", "M": 2**64, "p": None}], CURVE_FIELDS)
+@example([], CURVE_FIELDS)
+def test_rows_to_json_equals_indented_dumps(rows, fields):
+    ordered = [{name: row.get(name) for name in fields} for row in rows]
+    assert rows_to_json(rows, fields) == json.dumps(ordered, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Output digests of the benchmark's three sweep calls, as emitted by the
+# all-pairs Pareto filter and json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+POWER_GRID = ["--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "0.05", "--M", "1..8", *POWER_LINK]
+P_GRID = ",".join(f"{(j + 0.5) / 101:.6f}" for j in range(100))
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        (["sweep", "power", "--pareto", "--format", "json", "--es", "4.02308", *POWER_GRID],
+         119117, "854967e85372f43cbc846bb7c166211f19f2326fa8a5fbce8b1fcd1dccc8d128"),
+        (["sweep", "es", "--base", "power", "--format", "json",
+          "--es-list", "0,2.01154,4.02308,8.04616", *POWER_GRID],
+         2625212, "90151a6e70cb7eb23e01ce80f10756481fdd2500c6a2ce33fca19abec29b3db4"),
+        (["sweep", "m", "--p", P_GRID, "--M", "1..100", *REF],
+         463289, "05cd31342d55401e85b1d71b88e70f97d1772284b0a5c87256f49e69e97e7a39"),
+    ],
+    ids=["power-pareto-json", "es-power-json", "m-csv"],
+)
+def test_sweep_output_digest(capsys, argv, size, digest):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

@@ -232,6 +232,16 @@ def test_cycle_sim_counters():
     assert res.successes == 10_000
 
 
+@pytest.mark.parametrize("max_tx", [1, 3])
+def test_cycle_sim_counts_exact_past_int64(max_tx):
+    # Mean cycle 1e14 slots, so 2e5 cycles cover ~2e19 > 2**63 slots.
+    cfg = make_config(p=1 - 1e-14, max_tx=max_tx, horizon=200_000, warmup=1)
+    res = run_cycle_sim(cfg)
+    lengths, _, sensed = sample_cycles(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots)
+    assert res.slots == sum(lengths.tolist()) > 2**63
+    assert res.packets_generated == sum(sensed.tolist())
+
+
 def test_empirical_pmfs_match_analytic():
     p, max_tx, cycles = 0.4, 3, 200_000
     lengths, delivered, sensed = sample_cycles(

@@ -13,6 +13,7 @@ from aoilink.analytic import (
     evaluate,
 )
 from aoilink.sweep import (
+    MAX_GRID_POINTS,
     EsSweep,
     MSweep,
     PowerSweep,
@@ -111,6 +112,30 @@ def test_dbm_grid_counts():
     assert len(dbm_grid(0.1, 0.3, 0.1)) == 3
     assert dbm_grid(5.0, 5.0, 3.0) == [5.0]
     assert len(dbm_grid(2.0, 21.0, 3.0)) == 7  # last step does not reach 21
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((2.0, math.inf, 1.0), "finite"),
+        ((-math.inf, 20.0, 1.0), "finite"),
+        ((2.0, 20.0, math.nan), "finite"),
+        ((2.0, 20.0, math.inf), "finite"),
+        ((2.0, 20.0, 1e-12), "limit of 1000000"),
+        ((-1e308, 1e308, 1.0), "limit of 1000000"),  # the span overflows to inf
+    ],
+)
+def test_dbm_grid_rejects_non_finite_and_oversize(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        dbm_grid(*bounds)
+    with pytest.raises(ValueError, match=message):
+        ref_power_spec(dbm_min=bounds[0], dbm_max=bounds[1], dbm_step=bounds[2])
+
+
+def test_dbm_grid_limit_is_inclusive():
+    assert len(dbm_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+    with pytest.raises(ValueError):
+        dbm_grid(0.0, float(MAX_GRID_POINTS), 1.0)
 
 
 def test_power_sweep_reference_points():
@@ -302,6 +327,55 @@ def test_pareto_ignores_appended_dominated_point(raw):
         max(pt.avg_energy for pt in pts) + 1.0, max(pt.avg_aoi for pt in pts) + 1.0
     )
     assert pareto_front(pts + [worst]) == front
+
+
+def quadratic_pareto(pts):
+    """The all-pairs filter pareto_front replaced, kept as its reference."""
+
+    def dominates(a, b):
+        return (
+            a.avg_energy <= b.avg_energy
+            and a.avg_aoi <= b.avg_aoi
+            and (a.avg_energy < b.avg_energy or a.avg_aoi < b.avg_aoi)
+        )
+
+    survivors = []
+    seen = set()
+    for i, pt in enumerate(pts):
+        if any(j != i and dominates(other, pt) for j, other in enumerate(pts)):
+            continue
+        key = (pt.avg_energy, pt.avg_aoi)
+        if key in seen:
+            continue
+        seen.add(key)
+        survivors.append((i, pt))
+    survivors.sort(key=lambda item: (item[1].avg_energy, item[0]))
+    return [pt for _, pt in survivors]
+
+
+# Few distinct values, so equal energies, equal ages and exact duplicates are
+# common; both signed zeros and both infinities are among them.
+tie_values = st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0, 1e300, math.inf, -math.inf])
+
+
+@given(
+    st.lists(st.tuples(tie_values, tie_values), min_size=1, max_size=30),
+    st.lists(st.integers(min_value=0), max_size=10),
+)
+def test_pareto_matches_quadratic_reference(raw, repeats):
+    pts = [point(e, a) for e, a in raw]
+    # Re-append exact copies (new objects) of earlier points.
+    pts += [point(pts[k % len(pts)].avg_energy, pts[k % len(pts)].avg_aoi) for k in repeats]
+    front = pareto_front(pts)
+    expected = quadratic_pareto(pts)
+    assert len(front) == len(expected)
+    assert all(got is want for got, want in zip(front, expected))
+
+
+@pytest.mark.parametrize("energy, aoi", [(math.nan, 1.0), (1.0, math.nan)])
+def test_pareto_rejects_nan(energy, aoi):
+    with pytest.raises(ValueError, match="NaN"):
+        pareto_front([point(1.0, 2.0), point(energy, aoi)])
 
 
 # ---------------------------------------------------------------------------
