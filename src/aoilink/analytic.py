@@ -56,8 +56,7 @@ class FixedFailureLink:
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"failure probability must be in [0, 1), got {self.p}")
+        _check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,9 @@ class RayleighLink:
     tx_power: float  # watts
 
     def __post_init__(self) -> None:
-        if self.rate < 0.0 or not math.isfinite(self.rate):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-        if self.noise_power <= 0.0 or not math.isfinite(self.noise_power):
-            raise ValueError(f"noise power must be finite and > 0, got {self.noise_power}")
-        if self.tx_power <= 0.0 or not math.isfinite(self.tx_power):
-            raise ValueError(f"transmit power must be finite and > 0, got {self.tx_power}")
+        _check_nonnegative("rate", self.rate)
+        _check_positive("noise power", self.noise_power)
+        _check_positive("transmit power", self.tx_power)
 
 
 LinkSpec = Union[FixedFailureLink, RayleighLink]
@@ -90,12 +86,8 @@ class PowerModel:
     max_power: float  # watts
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.circuit_power < math.inf:
-            raise ValueError(f"circuit power must be finite and >= 0, got {self.circuit_power}")
-        if not 0.0 < self.inv_drain_eff < math.inf:
-            raise ValueError(
-                f"inverse drain efficiency must be finite and > 0, got {self.inv_drain_eff}"
-            )
+        _check_nonnegative("circuit power", self.circuit_power)
+        _check_positive("inverse drain efficiency", self.inv_drain_eff)
         if not 0.0 < self.tx_power <= self.max_power < math.inf:
             raise ValueError(
                 f"transmit power must satisfy 0 < Pt <= Pmax, both finite, "
@@ -110,8 +102,7 @@ class Policy:
     max_tx: int
 
     def __post_init__(self) -> None:
-        if self.max_tx < 1:
-            raise ValueError(f"max_tx must be >= 1, got {self.max_tx}")
+        _check_max_tx(self.max_tx)
 
 
 @dataclass(frozen=True)
@@ -123,10 +114,8 @@ class EnergyParams:
     tx_energy: float  # joules per transmission slot
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sense_energy < math.inf:
-            raise ValueError(f"sense energy must be finite and >= 0, got {self.sense_energy}")
-        if not 0.0 <= self.tx_energy < math.inf:
-            raise ValueError(f"tx energy must be finite and >= 0, got {self.tx_energy}")
+        _check_nonnegative("sense energy", self.sense_energy)
+        _check_nonnegative("tx energy", self.tx_energy)
 
 
 @dataclass(frozen=True)
@@ -170,8 +159,7 @@ def dbm_to_watts(dbm: float) -> float:
 
 def noise_from_reference_snr(p_ref: float, snr_ref_db: float) -> float:
     """Noise power implied by a reference transmit power at a reference SNR."""
-    if p_ref <= 0.0 or not math.isfinite(p_ref):
-        raise ValueError(f"reference power must be finite and > 0, got {p_ref}")
+    _check_positive("reference power", p_ref)
     if not math.isfinite(snr_ref_db):
         raise ValueError(f"reference SNR must be finite, got {snr_ref_db}")
     return p_ref / 10.0 ** (snr_ref_db / 10.0)
@@ -185,6 +173,16 @@ def _check_p(p: float) -> None:
 def _check_max_tx(max_tx: int) -> None:
     if max_tx < 1:
         raise ValueError(f"max_tx must be >= 1, got {max_tx}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:  # also false for NaN
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def pow_complement(p: float, max_tx: int) -> tuple[float, float]:

@@ -9,9 +9,10 @@ Subcommands:
   exits 1 if any grid point misses the tolerance.
 
 Results go to stdout or ``--output`` as CSV (default) or JSON. A JSON config
-file (``--config``) may supply any flag value, using the flag's long name
-with dashes or underscores; explicit flags win. Exit codes: 0 success,
-1 validation failure or I/O error, 2 bad configuration or usage.
+file (``--config``) may supply any flag value, keyed by the flag's long name
+with dashes or underscores; argparse parses it as that flag, and explicit
+flags win. Exit codes: 0 success, 1 validation failure or I/O error, 2 bad
+configuration or usage.
 """
 
 from __future__ import annotations
@@ -103,39 +104,60 @@ def parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file supplying defaults for any flag")
-    parser.add_argument("--output", "-o", help="write to this file instead of stdout")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format (default: csv)")
+def _add(parser: argparse.ArgumentParser, flag: str, help: str, default=None, **spec) -> None:
+    """Add one flag; a default, when given, is shown in its help."""
+    if default is not None:
+        spec["default"] = default
+        help += " (default: %(default)s)"
+    parser.add_argument(flag, help=help, **spec)
 
 
-def _add_link_options(parser: argparse.ArgumentParser) -> None:
+# Flags that several subcommands take, each declared once.
+_SHARED: dict[str, dict] = {
+    "--p": {"help": "comma-separated failure probabilities"},
+    "--M": {"help": "retransmission limits: comma list and/or a..b ranges"},
+    "--es": {"type": float, "help": "sensing energy per generated packet, J"},
+    "--et": {"type": float, "help": "transmit energy per slot, J"},
+    "--dbm-min": {"type": float, "help": "lowest transmit power, dBm"},
+    "--dbm-max": {"type": float, "help": "highest transmit power, dBm"},
+    "--dbm-step": {"type": float, "help": "grid spacing, dB"},
+    "--rate": {"type": float, "help": "Rayleigh link spectral efficiency, bits/s/Hz"},
+    "--snr-ref-db": {"type": float, "help": "reference SNR defining the noise power, dB"},
+    "--p-ref-dbm": {"type": float, "help": "reference power for --snr-ref-db, dBm"},
+    "--pc": {"type": float, "help": "circuit power, W"},
+    "--eta": {"type": float, "help": "inverse amplifier drain efficiency"},
+    "--pmax-dbm": {"type": float, "help": "amplifier power cap, dBm (analytic, simulate: default --pt-dbm)"},
+    "--normalizer": {"type": float, "help": "divide emitted energies by this"},
+    "--pareto": {"action": "store_true", "help": "emit only the non-dominated points"},
+    "--seed": {"type": int, "help": "RNG seed"},
+    "--batches": {"type": int, "help": "batch count for standard errors"},
+}
+_BUDGET = ("--rate", "--snr-ref-db", "--p-ref-dbm", "--pc", "--eta", "--pmax-dbm")
+_POWER_GRID = ("--dbm-min", "--dbm-max", "--dbm-step", *_BUDGET)
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str, **defaults) -> None:
+    """Add flags from _SHARED; ``defaults`` maps a flag's dest to its default."""
+    for flag in flags:
+        _add(parser, flag, default=defaults.get(flag[2:].replace("-", "_")), **_SHARED[flag])
+
+
+def _add_point_options(parser: argparse.ArgumentParser) -> None:
+    """One parameter point: a link from --p or a Rayleigh budget, --M and the energies."""
     parser.add_argument("--p", type=float, help="per-slot failure probability in [0, 1)")
-    parser.add_argument("--rate", type=float, help="Rayleigh link spectral efficiency, bits/s/Hz")
-    parser.add_argument("--pt-dbm", type=float, help="transmit power, dBm")
+    parser.add_argument("--M", type=int, help="maximum transmissions per packet")
+    parser.add_argument("--pt-dbm", type=float, help="transmit power, dBm (with --pc/--eta, derives --et)")
     parser.add_argument("--sigma2", type=float, help="noise power, W")
-    parser.add_argument("--snr-ref-db", type=float, help="reference SNR defining the noise power, dB")
-    parser.add_argument("--p-ref-dbm", type=float, help="reference power for --snr-ref-db, dBm")
+    _add_shared(parser, "--es", "--et", *_BUDGET)
 
 
-def _add_energy_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--es", type=float, help="sensing energy per generated packet, J")
-    parser.add_argument("--et", type=float, help="transmit energy per slot, J")
-    parser.add_argument("--pc", type=float, help="circuit power, W (derives --et together with --eta)")
-    parser.add_argument("--eta", type=float, help="inverse amplifier drain efficiency")
-    parser.add_argument("--pmax-dbm", type=float, help="amplifier power cap, dBm (default: --pt-dbm)")
-
-
-def _add_power_sweep_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dbm-min", type=float, help="lowest transmit power, dBm")
-    parser.add_argument("--dbm-max", type=float, help="highest transmit power, dBm")
-    parser.add_argument("--dbm-step", type=float, help="grid spacing, dB")
-    parser.add_argument("--rate", type=float, help="Rayleigh link spectral efficiency, bits/s/Hz")
-    parser.add_argument("--snr-ref-db", type=float, help="reference SNR defining the noise power, dB")
-    parser.add_argument("--p-ref-dbm", type=float, help="reference power for --snr-ref-db, dBm")
-    parser.add_argument("--pc", type=float, help="circuit power, W")
-    parser.add_argument("--eta", type=float, help="inverse amplifier drain efficiency")
-    parser.add_argument("--pmax-dbm", type=float, help="amplifier power cap, dBm")
+def _subcommand(parent, name: str, summary: str) -> argparse.ArgumentParser:
+    """A subcommand's parser, with the input and output flags every one takes."""
+    parser = parent.add_parser(name, help=summary)
+    parser.add_argument("--config", help="JSON object of flag values; explicit flags win")
+    parser.add_argument("--output", "-o", help="write to this file instead of stdout")
+    _add(parser, "--format", "output format", "csv", choices=["csv", "json"])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,123 +167,84 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analytic = sub.add_parser("analytic", help="evaluate the closed forms at one point")
-    _add_link_options(p_analytic)
-    p_analytic.add_argument("--M", type=int, help="maximum transmissions per packet")
-    _add_energy_options(p_analytic)
-    _add_output_options(p_analytic)
+    _add_point_options(_subcommand(sub, "analytic", "evaluate the closed forms at one point"))
 
-    p_sim = sub.add_parser("simulate", help="run one Monte Carlo estimate")
-    _add_link_options(p_sim)
-    p_sim.add_argument("--M", type=int, help="maximum transmissions per packet")
-    _add_energy_options(p_sim)
-    p_sim.add_argument("--estimator", choices=["slot", "cycle"], help="estimator (default: slot)")
-    p_sim.add_argument("--seed", type=int, help="RNG seed (default: 1)")
-    p_sim.add_argument("--horizon", type=int, help="slots (slot) or cycles (cycle); default 1000000")
+    p_sim = _subcommand(sub, "simulate", "run one Monte Carlo estimate")
+    _add_point_options(p_sim)
+    _add(p_sim, "--estimator", "estimator", "slot", choices=["slot", "cycle"])
+    _add(p_sim, "--horizon", "slots (slot) or cycles (cycle)", 1_000_000, type=int)
     p_sim.add_argument("--warmup", type=int, help="discarded leading slots/cycles")
-    p_sim.add_argument("--batches", type=int, help="batch count for standard errors (default: 100)")
     p_sim.add_argument("--trace", help="also write the per-slot age trace CSV here (slot only)")
-    _add_output_options(p_sim)
+    _add_shared(p_sim, "--seed", "--batches", seed=1, batches=100)
 
-    p_sweep = sub.add_parser("sweep", help="emit tradeoff curves")
-    kind = p_sweep.add_subparsers(dest="kind", required=True)
+    kind = sub.add_parser("sweep", help="emit tradeoff curves").add_subparsers(dest="kind", required=True)
+    p_m = _subcommand(kind, "m", "sweep the retransmission limit at fixed p")
+    _add_shared(p_m, "--p", "--M", "--es", "--et", "--normalizer", "--pareto")
 
-    p_m = kind.add_parser("m", help="sweep the retransmission limit at fixed p")
-    p_m.add_argument("--p", help="comma-separated failure probabilities")
-    p_m.add_argument("--M", help="retransmission limits: comma list and/or a..b ranges")
-    p_m.add_argument("--es", type=float, help="sensing energy, J")
-    p_m.add_argument("--et", type=float, help="transmit energy per slot, J")
-    p_m.add_argument("--normalizer", type=float, help="divide emitted energies by this")
-    p_m.add_argument("--pareto", action="store_true", help="emit only the non-dominated points")
-    _add_output_options(p_m)
+    p_pw = _subcommand(kind, "power", "sweep the transmit power under a Rayleigh budget")
+    _add_shared(p_pw, "--M", "--es", *_POWER_GRID, "--normalizer", "--pareto")
 
-    p_pw = kind.add_parser("power", help="sweep the transmit power under a Rayleigh budget")
-    p_pw.add_argument("--M", help="retransmission limits: comma list and/or a..b ranges")
-    p_pw.add_argument("--es", type=float, help="sensing energy, J")
-    _add_power_sweep_options(p_pw)
-    p_pw.add_argument("--normalizer", type=float, help="divide emitted energies by this")
-    p_pw.add_argument("--pareto", action="store_true", help="emit only the non-dominated points")
-    _add_output_options(p_pw)
-
-    p_es = kind.add_parser("es", help="rerun a base sweep per sensing energy, normalized")
+    p_es = _subcommand(kind, "es", "rerun a base sweep per sensing energy, normalized")
     p_es.add_argument("--es-list", help="comma-separated sensing energies, J")
-    p_es.add_argument("--base", choices=["m", "power"], help="base sweep kind (default: m)")
-    p_es.add_argument("--p", help="base m sweep: failure probabilities")
-    p_es.add_argument("--M", help="retransmission limits: comma list and/or a..b ranges")
-    p_es.add_argument("--et", type=float, help="base m sweep: transmit energy per slot, J")
-    _add_power_sweep_options(p_es)
+    _add(p_es, "--base", "base sweep kind", "m", choices=["m", "power"])
+    _add_shared(p_es, "--p", "--M", "--et", *_POWER_GRID)
     p_es.add_argument(
         "--tx-ref",
         type=float,
         help="transmit-side energy added to each Es to form that curve's normalizer "
         "(default: derived from the base sweep)",
     )
-    _add_output_options(p_es)
 
-    p_val = sub.add_parser("validate", help="check both estimators against the closed forms")
-    p_val.add_argument("--grid", choices=["default"], help="named grid (p x M defaults)")
-    p_val.add_argument("--p", help="comma-separated failure probabilities")
-    p_val.add_argument("--M", help="retransmission limits: comma list and/or a..b ranges")
-    p_val.add_argument("--slots", type=int, help="slot-estimator horizon (default: 1000000)")
+    p_val = _subcommand(sub, "validate", "check both estimators against the closed forms")
+    p_val.add_argument("--grid", choices=["default"], help="named grid: the --p and --M defaults")
+    _add(p_val, "--slots", "slot-estimator horizon", 1_000_000, type=int)
     p_val.add_argument("--cycles", type=int, help="cycle-estimator horizon (default: --slots)")
-    p_val.add_argument("--seed", type=int, help="base RNG seed (default: 7)")
-    p_val.add_argument("--es", type=float, help="sensing energy, J (default: 4.02308)")
-    p_val.add_argument("--et", type=float, help="transmit energy per slot, J (default: 4.02308)")
-    p_val.add_argument("--batches", type=int, help="batch count for standard errors (default: 100)")
-    _add_output_options(p_val)
+    _add_shared(
+        p_val, "--p", "--M", "--seed", "--es", "--et", "--batches",
+        p=",".join(map(str, DEFAULT_P_GRID)),
+        M=",".join(map(str, DEFAULT_MAX_TX_GRID)),
+        seed=7,
+        es=4.02308,
+        et=4.02308,
+        batches=100,
+    )
 
     return parser
 
 
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "analytic": {"format": "csv"},
-    "simulate": {
-        "format": "csv",
-        "estimator": "slot",
-        "seed": 1,
-        "horizon": 1_000_000,
-        "batches": 100,
-    },
-    "sweep": {"format": "csv", "base": "m"},
-    "validate": {
-        "format": "csv",
-        "p": ",".join(str(v) for v in DEFAULT_P_GRID),
-        "M": ",".join(str(v) for v in DEFAULT_MAX_TX_GRID),
-        "slots": 1_000_000,
-        "seed": 7,
-        "es": 4.02308,
-        "et": 4.02308,
-        "batches": 100,
-    },
-}
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv, splicing in the --config file as flags.
 
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the --config JSON file (flags take precedence)."""
-    if getattr(args, "config", None) is None:
-        return
+    Each key becomes ``--key=value`` (``true`` a bare flag; ``false`` and
+    ``null`` are dropped; a list a comma list), placed right after the
+    subcommand words, so argparse checks config values exactly as it checks
+    flags, and an explicit flag, coming later, wins.
+    """
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
         data = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"--config {args.config}: {exc}") from None
     if not isinstance(data, dict):
         raise CliError(f"--config {args.config}: expected a JSON object")
-    known = vars(args)
+    known = vars(args).keys() - {"command", "kind", "config"}
+    tokens = []
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise CliError(f"--config {args.config}: unknown key {key!r}")
-        if isinstance(value, list):
-            value = ",".join(str(item) for item in value)
-        current = known[dest]
-        if current is None or current is False:
-            setattr(args, dest, value)
-
-
-def _apply_defaults(args: argparse.Namespace) -> None:
-    for dest, value in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(item, (dict, list)) for item in items):
+            raise CliError(f"--config {args.config}: {key!r} is not a flag value")
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={','.join(map(str, items))}")
+    words = 2 if args.command == "sweep" else 1
+    return parser.parse_args(argv[:words] + tokens + argv[words:])
 
 
 def _require(value, flag: str):
@@ -275,29 +258,28 @@ def _resolve_link(args: argparse.Namespace) -> tuple[LinkSpec, float | None]:
     if args.p is not None:
         if args.rate is not None or args.pt_dbm is not None:
             raise CliError("give either --p or the Rayleigh flags (--rate/--pt-dbm), not both")
-        return FixedFailureLink(float(args.p)), None
+        return FixedFailureLink(args.p), None
     if args.rate is None or args.pt_dbm is None:
         raise CliError("link needs --p, or --rate and --pt-dbm")
     if args.sigma2 is not None:
-        noise = float(args.sigma2)
+        noise = args.sigma2
     else:
         if args.snr_ref_db is None or args.p_ref_dbm is None:
             raise CliError("noise power needs --sigma2, or --snr-ref-db and --p-ref-dbm")
-        noise = noise_from_reference_snr(dbm_to_watts(float(args.p_ref_dbm)), float(args.snr_ref_db))
-    pt_dbm = float(args.pt_dbm)
-    return RayleighLink(float(args.rate), noise, dbm_to_watts(pt_dbm)), pt_dbm
+        noise = noise_from_reference_snr(dbm_to_watts(args.p_ref_dbm), args.snr_ref_db)
+    return RayleighLink(args.rate, noise, dbm_to_watts(args.pt_dbm)), args.pt_dbm
 
 
 def _resolve_energy(args: argparse.Namespace, pt_dbm: float | None) -> EnergyParams:
-    sense = float(_require(args.es, "--es"))
+    sense = _require(args.es, "--es")
     if args.et is not None:
-        return EnergyParams(sense, float(args.et))
+        return EnergyParams(sense, args.et)
     if args.pc is None or args.eta is None:
         raise CliError("transmit energy needs --et, or --pc and --eta")
     if pt_dbm is None:
         raise CliError("--pc/--eta need --pt-dbm to derive the transmit energy")
-    pmax_dbm = float(args.pmax_dbm) if args.pmax_dbm is not None else pt_dbm
-    model = PowerModel(float(args.pc), float(args.eta), dbm_to_watts(pt_dbm), dbm_to_watts(pmax_dbm))
+    pmax_dbm = args.pmax_dbm if args.pmax_dbm is not None else pt_dbm
+    model = PowerModel(args.pc, args.eta, dbm_to_watts(pt_dbm), dbm_to_watts(pmax_dbm))
     return EnergyParams(sense, transmit_energy(model))
 
 
@@ -307,19 +289,18 @@ def _emit_curves(curves, fmt: str) -> str:
 
 def _postprocess(curves, args: argparse.Namespace):
     """Apply --pareto and --normalizer to freshly swept curves."""
-    if getattr(args, "pareto", False):
+    if args.pareto:
         points = [pt for curve in curves for pt in curve.points]
         curves = [TradeoffCurve(label="pareto", points=tuple(pareto_front(points)))]
-    normalizer = getattr(args, "normalizer", None)
-    if normalizer is not None:
-        curves = [normalize_curve(curve, float(normalizer)) for curve in curves]
+    if args.normalizer is not None:
+        curves = [normalize_curve(curve, args.normalizer) for curve in curves]
     return curves
 
 
 def _handle_analytic(args) -> tuple[int, str]:
     link, pt_dbm = _resolve_link(args)
     energy = _resolve_energy(args, pt_dbm)
-    point = evaluate(link, int(_require(args.M, "--M")), energy, tx_power_dbm=pt_dbm)
+    point = evaluate(link, _require(args.M, "--M"), energy, tx_power_dbm=pt_dbm)
     curve = TradeoffCurve(label="analytic", points=(point,))
     return 0, _emit_curves([curve], args.format)
 
@@ -329,12 +310,12 @@ def _handle_simulate(args) -> tuple[int, str]:
     energy = _resolve_energy(args, pt_dbm)
     cfg = SimConfig(
         link=link,
-        policy=Policy(int(_require(args.M, "--M"))),
+        policy=Policy(_require(args.M, "--M")),
         energy=energy,
-        seed=int(args.seed),
-        horizon_slots=int(args.horizon),
-        warmup_slots=None if args.warmup is None else int(args.warmup),
-        batches=int(args.batches),
+        seed=args.seed,
+        horizon_slots=args.horizon,
+        warmup_slots=args.warmup,
+        batches=args.batches,
     )
     if args.estimator == "cycle":
         if args.trace is not None:
@@ -365,59 +346,57 @@ def _atomic_write(path: str, write: Callable[[str], object]) -> None:
 
 def _handle_sweep_m(args) -> tuple[int, str]:
     spec = MSweep(
-        p_list=tuple(parse_float_list(_require(args.p, "--p"), "--p")),
-        max_tx_list=tuple(parse_int_list(_require(args.M, "--M"), "--M")),
-        energy=EnergyParams(float(_require(args.es, "--es")), float(_require(args.et, "--et"))),
+        p_list=parse_float_list(_require(args.p, "--p"), "--p"),
+        max_tx_list=parse_int_list(_require(args.M, "--M"), "--M"),
+        energy=EnergyParams(_require(args.es, "--es"), _require(args.et, "--et")),
     )
     return 0, _emit_curves(_postprocess(m_sweep(spec), args), args.format)
 
 
-def _power_spec(args) -> PowerSweep:
+def _power_spec(args, sense_energy: float) -> PowerSweep:
     return PowerSweep(
-        dbm_min=float(_require(args.dbm_min, "--dbm-min")),
-        dbm_max=float(_require(args.dbm_max, "--dbm-max")),
-        dbm_step=float(_require(args.dbm_step, "--dbm-step")),
-        max_tx_list=tuple(parse_int_list(_require(args.M, "--M"), "--M")),
-        rate=float(_require(args.rate, "--rate")),
-        snr_ref_db=float(_require(args.snr_ref_db, "--snr-ref-db")),
-        ref_power_dbm=float(_require(args.p_ref_dbm, "--p-ref-dbm")),
-        sense_energy=float(_require(args.es, "--es")),
-        circuit_power=float(_require(args.pc, "--pc")),
-        inv_drain_eff=float(_require(args.eta, "--eta")),
-        max_power=dbm_to_watts(float(_require(args.pmax_dbm, "--pmax-dbm"))),
+        dbm_min=_require(args.dbm_min, "--dbm-min"),
+        dbm_max=_require(args.dbm_max, "--dbm-max"),
+        dbm_step=_require(args.dbm_step, "--dbm-step"),
+        max_tx_list=parse_int_list(_require(args.M, "--M"), "--M"),
+        rate=_require(args.rate, "--rate"),
+        snr_ref_db=_require(args.snr_ref_db, "--snr-ref-db"),
+        ref_power_dbm=_require(args.p_ref_dbm, "--p-ref-dbm"),
+        sense_energy=sense_energy,
+        circuit_power=_require(args.pc, "--pc"),
+        inv_drain_eff=_require(args.eta, "--eta"),
+        max_power=dbm_to_watts(_require(args.pmax_dbm, "--pmax-dbm")),
     )
 
 
 def _handle_sweep_power(args) -> tuple[int, str]:
-    return 0, _emit_curves(_postprocess(power_sweep(_power_spec(args)), args), args.format)
+    spec = _power_spec(args, _require(args.es, "--es"))
+    return 0, _emit_curves(_postprocess(power_sweep(spec), args), args.format)
 
 
 def _handle_sweep_es(args) -> tuple[int, str]:
-    es_list = tuple(parse_float_list(_require(args.es_list, "--es-list"), "--es-list"))
+    es_list = parse_float_list(_require(args.es_list, "--es-list"), "--es-list")
     if args.base == "m":
         base = MSweep(
-            p_list=tuple(parse_float_list(_require(args.p, "--p"), "--p")),
-            max_tx_list=tuple(parse_int_list(_require(args.M, "--M"), "--M")),
-            energy=EnergyParams(0.0, float(_require(args.et, "--et"))),
+            p_list=parse_float_list(_require(args.p, "--p"), "--p"),
+            max_tx_list=parse_int_list(_require(args.M, "--M"), "--M"),
+            energy=EnergyParams(0.0, _require(args.et, "--et")),
         )
     else:
-        args.es = 0.0  # placeholder; replaced per sweep entry
-        base = _power_spec(args)
+        base = _power_spec(args, 0.0)  # the sensing energy is replaced per es_list entry
     spec = EsSweep(es_list=es_list, base=base, normalizer=args.tx_ref)
     return 0, _emit_curves(es_sweep(spec), args.format)
 
 
 def _handle_validate(args) -> tuple[int, str]:
-    slots = int(args.slots)
-    cycles = int(args.cycles) if args.cycles is not None else slots
     report = build_report(
         p_values=parse_float_list(args.p, "--p"),
         max_tx_values=parse_int_list(args.M, "--M"),
-        energy=EnergyParams(float(args.es), float(args.et)),
-        slots=slots,
-        cycles=cycles,
-        seed=int(args.seed),
-        batches=int(args.batches),
+        energy=EnergyParams(args.es, args.et),
+        slots=args.slots,
+        cycles=args.slots if args.cycles is None else args.cycles,
+        seed=args.seed,
+        batches=args.batches,
     )
     emit = emit_report_csv if args.format == "csv" else emit_report_json
     return (0 if report.passed else 1), emit(report)
@@ -435,15 +414,12 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        _merge_config(args)
-        _apply_defaults(args)
+        args = _parse_args(build_parser(), argv)
         code, text = _dispatch(args)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return int(exc.code) if exc.code else 0
     except (CliError, ValueError) as exc:
         print(f"aoilink: error: {exc}", file=sys.stderr)
         return 2

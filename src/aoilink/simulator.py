@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analytic import EnergyParams, LinkSpec, Policy, failure_prob
+from .analytic import EnergyParams, LinkSpec, Policy, _check_max_tx, failure_prob
 
 __all__ = [
     "SimConfig",
@@ -150,8 +150,7 @@ class SlotMachine:
     """
 
     def __init__(self, max_tx: int):
-        if max_tx < 1:
-            raise ValueError(f"max_tx must be >= 1, got {max_tx}")
+        _check_max_tx(max_tx)
         self.max_tx = max_tx
         self.slot = 0
         self.k = 0  # slots since the last delivery

@@ -24,6 +24,10 @@ from .analytic import (
     MetricPoint,
     PowerModel,
     RayleighLink,
+    _check_max_tx,
+    _check_nonnegative,
+    _check_p,
+    _check_positive,
     dbm_to_watts,
     evaluate,
     noise_from_reference_snr,
@@ -43,8 +47,14 @@ __all__ = [
     "pareto_front",
 ]
 
-# Longest dBm grid or --M list a sweep may expand; checked before allocating.
+# Most points one sweep may evaluate, and the longest dBm grid or --M list it
+# may expand; checked before allocating.
 MAX_GRID_POINTS = 1_000_000
+
+
+def _check_size(points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"sweep of {points} points exceeds the limit of {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +72,16 @@ class MSweep:
             raise ValueError("p_list must not be empty")
         if not self.max_tx_list:
             raise ValueError("max_tx_list must not be empty")
+        _check_size(self.size)
         for p in self.p_list:
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"failure probability must be in [0, 1), got {p}")
+            _check_p(p)
         for m in self.max_tx_list:
-            if m < 1:
-                raise ValueError(f"max_tx values must be >= 1, got {m}")
+            _check_max_tx(m)
+
+    @property
+    def size(self) -> int:
+        """Number of points the sweep evaluates."""
+        return len(self.p_list) * len(self.max_tx_list)
 
 
 @dataclass(frozen=True)
@@ -93,14 +107,17 @@ class PowerSweep:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_tx_list", tuple(self.max_tx_list))
-        _grid_count(self.dbm_min, self.dbm_max, self.dbm_step)
         if not self.max_tx_list:
             raise ValueError("max_tx_list must not be empty")
+        _check_size(self.size)
         for m in self.max_tx_list:
-            if m < 1:
-                raise ValueError(f"max_tx values must be >= 1, got {m}")
-        if self.sense_energy < 0.0:
-            raise ValueError(f"sense energy must be >= 0, got {self.sense_energy}")
+            _check_max_tx(m)
+        _check_nonnegative("sense energy", self.sense_energy)
+
+    @property
+    def size(self) -> int:
+        """Number of points the sweep evaluates."""
+        return _grid_count(self.dbm_min, self.dbm_max, self.dbm_step) * len(self.max_tx_list)
 
 
 @dataclass(frozen=True)
@@ -122,11 +139,11 @@ class EsSweep:
         object.__setattr__(self, "es_list", tuple(self.es_list))
         if not self.es_list:
             raise ValueError("es_list must not be empty")
+        _check_size(len(self.es_list) * self.base.size)
         for es in self.es_list:
-            if es < 0.0:
-                raise ValueError(f"sense energy must be >= 0, got {es}")
-        if self.normalizer is not None and self.normalizer <= 0.0:
-            raise ValueError(f"normalizer must be > 0, got {self.normalizer}")
+            _check_nonnegative("sense energy", es)
+        if self.normalizer is not None:
+            _check_positive("normalizer", self.normalizer)
 
 
 @dataclass(frozen=True)
@@ -222,8 +239,7 @@ def normalize_curve(curve: TradeoffCurve, normalizer: float) -> TradeoffCurve:
     Ages are untouched; the curve's cumulative normalizer is multiplied so
     repeated normalizations compose.
     """
-    if normalizer <= 0.0 or not math.isfinite(normalizer):
-        raise ValueError(f"normalizer must be finite and > 0, got {normalizer}")
+    _check_positive("normalizer", normalizer)
     points = tuple(
         replace(pt, avg_energy=pt.avg_energy / normalizer) for pt in curve.points
     )

@@ -1,7 +1,10 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -421,6 +424,89 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
 def test_config_missing_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, ["analytic", "--config", "/does/not/exist.json"])
     assert code == 2
+
+
+SIM_CONFIG = {"p": 0.4, "M": 2, "es": 1, "et": 1, "horizon": 3000, "warmup": 100}
+M_CONFIG = {"p": 0.4, "M": "1..3", "es": 1, "et": 1}
+
+
+# Config values get the flag's own argparse checks: each of these is a type,
+# choice or arity error, or a key that names no settable flag.
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["simulate"], {**SIM_CONFIG, "p": {"a": 1}}),
+        (["simulate"], {**SIM_CONFIG, "M": 3.7}),
+        (["simulate"], {**SIM_CONFIG, "seed": 2.9}),
+        (["simulate"], {**SIM_CONFIG, "format": "xml"}),
+        (["simulate"], {**SIM_CONFIG, "estimator": "bogus"}),
+        (["simulate"], {**SIM_CONFIG, "horizon": True}),
+        (["simulate"], {**SIM_CONFIG, "seed": True}),
+        (["sweep", "m"], {**M_CONFIG, "pareto": "false"}),
+        (["sweep", "m"], {**M_CONFIG, "config": "other.json"}),
+    ],
+)
+def test_config_bad_value_exits_2(tmp_path, capsys, command, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, [*command, "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_config_number_is_parsed_as_the_flag_text(tmp_path, capsys, monkeypatch):
+    # {"trace": 5} means what --trace 5 means: the trace goes to the file "5".
+    monkeypatch.chdir(tmp_path)
+    Path("sim.json").write_text(json.dumps({**SIM_CONFIG, "trace": 5}))
+    code, out, _ = run_cli(capsys, ["simulate", "--config", "sim.json"])
+    flags = ["--p", "0.4", "--M", "2", "--es", "1", "--et", "1", "--horizon", "3000",
+             "--warmup", "100", "--trace", "6"]
+    code_flags, out_flags, _ = run_cli(capsys, ["simulate", *flags])
+    assert code == code_flags == 0
+    assert out == out_flags
+    assert Path("5").read_text() == Path("6").read_text()
+
+
+@pytest.mark.parametrize("dbm_min, pt_dbm", [(-10, "-10"), (-1e-05, "-1e-05")])
+def test_config_negative_value_reaches_sweep(tmp_path, capsys, dbm_min, pt_dbm):
+    # A separate "-1e-05" word would read as a flag; the config uses --dbm-min=-1e-05.
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"dbm_min": dbm_min}))
+    argv = ["sweep", "power", "--dbm-max", "0", "--dbm-step", "5", "--M", "1",
+            "--es", "4.02308", *POWER_LINK]
+    code, out, _ = run_cli(capsys, [*argv, "--config", str(path)])
+    _, out_flags, _ = run_cli(capsys, [*argv, f"--dbm-min={dbm_min}"])
+    assert code == 0
+    assert out == out_flags
+    assert csv_rows(out)[0]["pt_dbm"] == pt_dbm
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analytic"], ["simulate"], ["sweep", "m"], ["sweep", "power"], ["sweep", "es"], ["validate"]],
+)
+def test_help_exits_0(capsys, command):
+    code, out, _ = run_cli(capsys, [*command, "--help"])
+    assert code == 0
+    assert out.startswith("usage: aoilink " + " ".join(command))
+
+
+def test_make_tradeoff_curves_script(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_tradeoff_curves.py"
+    spec = importlib.util.spec_from_file_location("make_tradeoff_curves", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
+    module.main()
+    capsys.readouterr()
+    points = {path.name: len(csv_rows(path.read_text())) for path in tmp_path.iterdir()}
+    assert points == {
+        "m_sweep_constant_power.csv": 24,
+        "es_sweep_constant_power.csv": 24,
+        "power_control_sweep.csv": 42,
+        "es_sweep_power_control.csv": 28,
+    }
 
 
 # ---------------------------------------------------------------------------

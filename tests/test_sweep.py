@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -259,6 +260,38 @@ def test_es_sweep_rejects_bad_specs():
         EsSweep((-1.0,), base)
     with pytest.raises(ValueError):
         EsSweep((1.0,), base, normalizer=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_specs_reject_non_finite_energies(bad):
+    base = MSweep((0.4,), (1,), REF_ENERGY)
+    with pytest.raises(ValueError, match="finite"):
+        replace(ref_power_spec(), sense_energy=bad)
+    with pytest.raises(ValueError, match="finite"):
+        EsSweep((bad,), base)
+    with pytest.raises(ValueError, match="finite"):
+        EsSweep((1.0,), base, normalizer=bad)
+
+
+def test_sweep_size_limit_is_inclusive():
+    # Specs are only constructed: the limit is checked before any evaluation.
+    p_list = tuple(i / 1000 for i in range(1000))
+    m_list = tuple(range(1, 1001))
+    grid = {"dbm_min": 0.0, "dbm_max": 999.0, "dbm_step": 1.0}  # 1000 powers
+    assert MSweep(p_list, m_list, REF_ENERGY).size == MAX_GRID_POINTS
+    assert ref_power_spec(m_list, **grid).size == MAX_GRID_POINTS
+    m_base = MSweep(p_list[:10], m_list[:100], REF_ENERGY)
+    power_base = ref_power_spec(m_list[:1], **grid)
+    for base in (m_base, power_base):
+        EsSweep((1.0,) * 1000, base)
+        with pytest.raises(ValueError, match="limit of 1000000"):
+            EsSweep((1.0,) * 1001, base)
+    with pytest.raises(ValueError, match="limit of 1000000"):
+        MSweep(p_list, m_list + (1001,), REF_ENERGY)
+    with pytest.raises(ValueError, match="limit of 1000000"):
+        ref_power_spec(m_list + (1001,), **grid)
+    with pytest.raises(ValueError, match="limit of 1000000"):
+        MSweep(p_list * 2, range(1, 10**6 + 1), REF_ENERGY)  # 2e9 points
 
 
 # ---------------------------------------------------------------------------
