@@ -253,15 +253,23 @@ def _require(value, flag: str):
     return value
 
 
+def _unused(args: argparse.Namespace, flags: tuple[str, ...], why: str) -> None:
+    """Reject the first of ``flags`` that was given: it would be silently ignored."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise CliError(f"{flag} {why}")
+
+
 def _resolve_link(args: argparse.Namespace) -> tuple[LinkSpec, float | None]:
     """Build the link from either --p or the Rayleigh budget flags."""
     if args.p is not None:
-        if args.rate is not None or args.pt_dbm is not None:
-            raise CliError("give either --p or the Rayleigh flags (--rate/--pt-dbm), not both")
+        rayleigh = ("--rate", "--pt-dbm", "--sigma2", "--snr-ref-db", "--p-ref-dbm")
+        _unused(args, rayleigh, "cannot be combined with --p")
         return FixedFailureLink(args.p), None
     if args.rate is None or args.pt_dbm is None:
         raise CliError("link needs --p, or --rate and --pt-dbm")
     if args.sigma2 is not None:
+        _unused(args, ("--snr-ref-db", "--p-ref-dbm"), "cannot be combined with --sigma2")
         noise = args.sigma2
     else:
         if args.snr_ref_db is None or args.p_ref_dbm is None:
@@ -273,6 +281,7 @@ def _resolve_link(args: argparse.Namespace) -> tuple[LinkSpec, float | None]:
 def _resolve_energy(args: argparse.Namespace, pt_dbm: float | None) -> EnergyParams:
     sense = _require(args.es, "--es")
     if args.et is not None:
+        _unused(args, ("--pc", "--eta", "--pmax-dbm"), "cannot be combined with --et")
         return EnergyParams(sense, args.et)
     if args.pc is None or args.eta is None:
         raise CliError("transmit energy needs --et, or --pc and --eta")
@@ -344,13 +353,16 @@ def _atomic_write(path: str, write: Callable[[str], object]) -> None:
         raise
 
 
-def _handle_sweep_m(args) -> tuple[int, str]:
-    spec = MSweep(
+def _m_spec(args, sense_energy: float | None) -> MSweep:
+    return MSweep(
         p_list=parse_float_list(_require(args.p, "--p"), "--p"),
         max_tx_list=parse_int_list(_require(args.M, "--M"), "--M"),
-        energy=EnergyParams(_require(args.es, "--es"), _require(args.et, "--et")),
+        energy=EnergyParams(_require(sense_energy, "--es"), _require(args.et, "--et")),
     )
-    return 0, _emit_curves(_postprocess(m_sweep(spec), args), args.format)
+
+
+def _handle_sweep_m(args) -> tuple[int, str]:
+    return 0, _emit_curves(_postprocess(m_sweep(_m_spec(args, args.es)), args), args.format)
 
 
 def _power_spec(args, sense_energy: float) -> PowerSweep:
@@ -376,14 +388,10 @@ def _handle_sweep_power(args) -> tuple[int, str]:
 
 def _handle_sweep_es(args) -> tuple[int, str]:
     es_list = parse_float_list(_require(args.es_list, "--es-list"), "--es-list")
-    if args.base == "m":
-        base = MSweep(
-            p_list=parse_float_list(_require(args.p, "--p"), "--p"),
-            max_tx_list=parse_int_list(_require(args.M, "--M"), "--M"),
-            energy=EnergyParams(0.0, _require(args.et, "--et")),
-        )
-    else:
-        base = _power_spec(args, 0.0)  # the sensing energy is replaced per es_list entry
+    unused = _POWER_GRID if args.base == "m" else ("--p", "--et")
+    _unused(args, unused, f"is not used with --base {args.base}")
+    # The sensing energy of the base is replaced per es_list entry.
+    base = (_m_spec if args.base == "m" else _power_spec)(args, 0.0)
     spec = EsSweep(es_list=es_list, base=base, normalizer=args.tx_ref)
     return 0, _emit_curves(es_sweep(spec), args.format)
 

@@ -120,8 +120,10 @@ _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 
 def rows_to_json(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
     """The text of ``json.dumps(rows, indent=2) + "\\n"``, rows keyed by ``fields`` (nonempty)."""
-    items = [_ROW_ENCODER.encode({name: row.get(name) for name in fields})[1:-1] for row in rows]
-    return "[\n  {\n    " + "\n  },\n  {\n    ".join(items) + "\n  }\n]\n" if items else "[]\n"
+    text = _ROW_ENCODER.encode([{name: row.get(name) for name in fields} for row in rows])
+    # Raw newlines occur only in separators and no scalar ends in "}": a joint of two rows.
+    joined = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return "[\n  {\n    " + joined + "\n  }\n]\n" if rows else "[]\n"
 
 
 def emit_csv(curves: Sequence[TradeoffCurve]) -> str:

@@ -10,12 +10,13 @@ Two independent estimators of the average age and average energy:
   sensing events are deterministic functions of it.
 
 Randomness comes from numpy's default generator (PCG64) seeded with
-``SimConfig.seed``. The slot estimator draws one uniform per slot in slot
-order and streams them through one numpy kernel (:func:`_slot_chunk`) in
-chunks of ``_CHUNK`` slots; PCG64 yields the same stream whether drawn at
-once or in chunks. The cycle estimator draws one geometric variate per
-cycle. Identical configs therefore produce bit-identical results on the
-same build of this package.
+``SimConfig.seed``: one uniform per slot, run through the numpy kernel
+:func:`_slot_chunk`, or one geometric variate per cycle. Both estimators draw
+and reduce in chunks of ``_CHUNK`` (65,536), so memory is flat in the
+horizon, and PCG64 yields the same stream whether drawn at once or in chunks,
+so identical configs give bit-identical results on one build. Near ``p = 1``
+the cycle sums pass 2**52 and round, so their last bits depend on the order
+of summation; the counters are exact integers.
 
 Timing convention: sensing happens instantly at slot start, the ACK/NACK is
 revealed at slot end, and on a success the age resets at slot end to the
@@ -45,7 +46,7 @@ __all__ = [
     "write_age_trace",
 ]
 
-_CHUNK = 1 << 16  # slots per kernel call; bounds the slot estimator's memory
+_CHUNK = 1 << 16  # slots or cycles per kernel call; bounds both estimators' memory
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,8 @@ class SimConfig:
     defaults to 1% of the horizon with a floor of 1000 (capped to a tenth of
     short horizons). Standard errors use batch means over ``batches`` equal
     contiguous windows of ``(horizon - warmup) // batches`` samples; any
-    remainder still enters the point estimates.
+    remainder still enters the point estimates. Both estimators stream in
+    chunks of 65,536 slots or cycles, so memory is flat in the horizon.
     """
 
     link: LinkSpec
@@ -130,13 +132,16 @@ def _slot_chunk(fails: np.ndarray, max_tx: int, k: int, last: int):
     and start ages, and the state leaving the chunk.
     """
     c = fails.size
-    pos = np.arange(c + 1)
-    # Chunk index at which the current cycle began; -k before the first delivery.
-    begin = np.maximum.accumulate(np.concatenate(([-k], np.where(fails, -k, pos[1:]))))
+    pos = np.arange(k, k + c + 1)  # k plus the chunk index
+    # k plus the chunk index at which the current cycle began (0 before the chunk's
+    # first delivery); updated in place, as fresh chunk-sized arrays cost page faults.
+    begin = np.concatenate(([0], pos[1:] * ~fails))
+    np.maximum.accumulate(begin, out=begin)
     since = pos - begin
     # Every k_i is below k + c, so a larger limit never binds (and cannot overflow).
-    tx = since[:c] % min(max_tx, k + c) + 1
-    delivered = np.concatenate(([last], tx))[np.maximum(begin, 0)]
+    m = min(max_tx, k + c)
+    tx = since[:c] - since[:c] // m * m + 1  # since % m + 1; numpy's integer % is slow
+    delivered = np.concatenate(([last], tx))[np.maximum(begin - k, 0)]
     return tx, delivered[:c] + since[:c], int(since[c]), int(delivered[c])
 
 
@@ -188,6 +193,24 @@ def _batch_stderr(batch_means: np.ndarray) -> float:
     return float(math.sqrt(float(((batch_means - center) ** 2).sum()) / (b * (b - 1))))
 
 
+def _add_batch_sums(sums, rows, first: int, warmup: int, width: int) -> None:
+    """Add each row's kept samples (column ``j`` is sample ``first + j``; kept
+    from ``warmup`` on) into the matching row of ``sums``, one column per batch
+    of ``width`` samples; the last column gathers the remainder past the last
+    full batch, which enters only the point estimates."""
+    batches, c = len(sums[0]) - 1, len(rows[0])
+    lo = max(warmup - first, 0)
+    if lo >= c:
+        return
+    q0 = first + lo - warmup  # kept index of the first kept sample
+    b0 = min(q0 // width, batches)
+    starts = np.arange(b0, min((first + c - 1 - warmup) // width, batches) + 1) * width - q0
+    starts[0] = 0
+    for acc, row in zip(sums, rows):
+        for b, v in enumerate(np.add.reduceat(row[lo:], starts).tolist(), b0):
+            acc[b] += v
+
+
 def run_slot_sim(cfg: SimConfig) -> SimResult:
     """Slot-by-slot estimate of average age and average energy.
 
@@ -198,42 +221,28 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
     slope, each slot contributes its start age plus one half.
     """
     n = cfg.horizon_slots
-    warmup = cfg.warmup_slots
-    kept = n - warmup
+    kept = n - cfg.warmup_slots
     width = kept // cfg.batches
-    marks = warmup + width * np.arange(1, cfg.batches + 1)  # slot counts ending each batch
 
     machine = SlotMachine(cfg.policy.max_tx)
     packets = successes = 0
-    age_sum = 0  # integer sum of post-warmup slot-start ages (exact)
-    senses = 0  # post-warmup sensing events
-    age_marks: list[int] = []
-    sense_marks: list[int] = []
+    # Exact integer sums of slot-start ages and of sensing events, per batch.
+    ages, senses = sums = [[0] * (cfg.batches + 1) for _ in range(2)]
     for fails in _draws(cfg.link, cfg.seed, n):
         first = machine.slot
         tx, age = machine.advance(fails)
         sensed = tx == 1
         packets += int(np.count_nonzero(sensed))
         successes += fails.size - int(np.count_nonzero(fails))
-        lo = max(warmup - first, 0)
-        if lo >= fails.size:
-            continue
-        age_cum = np.cumsum(age[lo:])  # int64-exact: _CHUNK ages, each below 2 * horizon
-        sense_cum = np.cumsum(sensed[lo:])
-        ends = marks[(marks > first + lo) & (marks <= machine.slot)] - (first + lo + 1)
-        age_marks += [age_sum + v for v in age_cum[ends].tolist()]
-        sense_marks += [senses + v for v in sense_cum[ends].tolist()]
-        age_sum += int(age_cum[-1])
-        senses += int(sense_cum[-1])
+        # int64-exact within a chunk: _CHUNK ages, each below 2 * horizon
+        _add_batch_sums(sums, (age, sensed), first, cfg.warmup_slots, width)
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
-    batch_age = np.diff(np.asarray(age_marks, dtype=float), prepend=0.0)
-    batch_senses = np.diff(np.asarray(sense_marks, dtype=float), prepend=0.0)
-    aoi_means = (batch_age + 0.5 * width) / width
-    energy_means = et + es * batch_senses / width
+    aoi_means = (np.array(ages[:-1], dtype=float) + 0.5 * width) / width
+    energy_means = et + es * np.array(senses[:-1], dtype=float) / width
     return SimResult(
-        avg_aoi_est=(age_sum + 0.5 * kept) / kept,
-        avg_energy_est=et + es * (senses / kept),
+        avg_aoi_est=(sum(ages) + 0.5 * kept) / kept,
+        avg_energy_est=et + es * (sum(senses) / kept),
         stderr_aoi=_batch_stderr(aoi_means),
         stderr_energy=_batch_stderr(energy_means),
         slots=n,
@@ -241,6 +250,18 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
         successes=successes,
         seed=cfg.seed,
     )
+
+
+def _cycle_chunks(link: LinkSpec, policy: Policy, seed: int, n: int):
+    """The (length, delivered tx count, sensing count) arrays of n cycles, by chunk."""
+    rng = np.random.default_rng(seed)
+    success = 1.0 - failure_prob(link)
+    for start in range(0, n, _CHUNK):
+        lengths = rng.geometric(success, min(_CHUNK, n - start))
+        # No cycle of the chunk is longer than its longest, so a larger limit never binds.
+        max_tx = min(policy.max_tx, int(lengths.max()))
+        abandoned = (lengths - 1) // max_tx  # packets that used all max_tx transmissions
+        yield lengths, lengths - abandoned * max_tx, abandoned + 1
 
 
 def sample_cycles(
@@ -251,17 +272,12 @@ def sample_cycles(
     The cycle length is geometric on {1, 2, ...} with success probability
     ``1 - p``. Within a cycle of length y, full groups of max_tx failures are
     abandoned packets, so the delivered packet used ``(y - 1) % max_tx + 1``
-    transmissions and the cycle sensed ``ceil(y / max_tx)`` packets.
+    transmissions and the cycle sensed ``ceil(y / max_tx)`` packets. The
+    draws are those of :func:`run_cycle_sim` with the same seed.
     """
     if cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {cycles}")
-    rng = np.random.default_rng(seed)
-    lengths = rng.geometric(1.0 - failure_prob(link), size=cycles)
-    # No cycle is longer than the longest, so a larger limit never binds.
-    max_tx = min(policy.max_tx, int(lengths.max()))
-    delivered = (lengths - 1) % max_tx + 1
-    sensed = (lengths + max_tx - 1) // max_tx
-    return lengths, delivered, sensed
+    return tuple(np.concatenate(part) for part in zip(*_cycle_chunks(link, policy, seed, cycles)))
 
 
 def run_cycle_sim(cfg: SimConfig) -> SimResult:
@@ -276,36 +292,30 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
     """
     if cfg.warmup_slots < 1:
         raise ValueError("cycle estimator needs warmup >= 1 cycle")
-    n = cfg.horizon_slots
-    w0 = cfg.warmup_slots
-    lengths, delivered, sensed = sample_cycles(cfg.link, cfg.policy, cfg.seed, n)
-
-    prev = delivered[w0 - 1 : n - 1].astype(float)
-    ylen = lengths[w0:].astype(float)
-    areas = (prev + ylen / 2.0) * ylen
-    nsense = sensed[w0:].astype(float)
+    width = (cfg.horizon_slots - cfg.warmup_slots) // cfg.batches
+    sums = np.zeros((3, cfg.batches + 1))  # per batch: slots, age area, sensing count
+    slots = packets = first = prev = 0  # prev: delivered tx count of the cycle before the chunk
+    for lengths, delivered, sensed in _cycle_chunks(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots):
+        ylen = lengths.astype(float)
+        areas = (np.concatenate(([prev], delivered[:-1])) + ylen / 2.0) * ylen
+        _add_batch_sums(sums, (ylen, areas, sensed.astype(float)), first, cfg.warmup_slots, width)
+        wraps = int(lengths.max()) >= 2**63 // lengths.size  # int64 sums could wrap (p near 1)
+        slots += sum(lengths.tolist()) if wraps else int(lengths.sum())
+        packets += sum(sensed.tolist()) if wraps else int(sensed.sum())
+        prev = int(delivered[-1])
+        first += lengths.size
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
-    total_len = ylen.sum()
-    kept = n - w0
-    width = kept // cfg.batches
-    m = cfg.batches * width
-    blen = ylen[:m].reshape(cfg.batches, width).sum(axis=1)
-    barea = areas[:m].reshape(cfg.batches, width).sum(axis=1)
-    bsense = nsense[:m].reshape(cfg.batches, width).sum(axis=1)
-    if int(lengths.max()) * n < 2**63:
-        slots, packets = int(lengths.sum()), int(sensed.sum())
-    else:  # the int64 sums could wrap (p near 1): add as Python ints
-        slots, packets = sum(lengths.tolist()), sum(sensed.tolist())
-
+    total_len, total_area, total_sense = sums.sum(axis=1)
+    blen, barea, bsense = sums[:, :-1]
     return SimResult(
-        avg_aoi_est=float(areas.sum() / total_len),
-        avg_energy_est=float(es * nsense.sum() / total_len + et),
+        avg_aoi_est=float(total_area / total_len),
+        avg_energy_est=float(es * total_sense / total_len + et),
         stderr_aoi=_batch_stderr(barea / blen),
         stderr_energy=_batch_stderr(es * bsense / blen + et),
         slots=slots,
         packets_generated=packets,
-        successes=n,
+        successes=cfg.horizon_slots,
         seed=cfg.seed,
     )
 

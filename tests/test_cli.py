@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aoilink.analytic import EnergyParams
@@ -261,6 +261,56 @@ def test_conflicting_link_flags_exit_2(capsys):
     assert code == 2
 
 
+P_POINT = ["--p", "0.4", "--M", "3", "--es", "1", "--et", "1"]
+SIGMA2_POINT = ["--rate", "2", "--pt-dbm", "20", "--sigma2", "1e-5", "--M", "3", "--es", "1", "--et", "1"]
+
+
+# Two forms of one input: each extra flag would otherwise be silently ignored.
+@pytest.mark.parametrize(
+    "point, extra",
+    [
+        (P_POINT, ["--pt-dbm", "20"]),
+        (P_POINT, ["--sigma2", "1e-5"]),
+        (P_POINT, ["--snr-ref-db", "20"]),
+        (P_POINT, ["--p-ref-dbm", "20"]),
+        (SIGMA2_POINT, ["--snr-ref-db", "0"]),
+        (SIGMA2_POINT, ["--p-ref-dbm", "20"]),
+        (SIGMA2_POINT, ["--pc", "5"]),
+        (SIGMA2_POINT, ["--eta", "3"]),
+        (SIGMA2_POINT, ["--pmax-dbm", "20"]),
+    ],
+)
+@pytest.mark.parametrize("command", [["analytic"], ["simulate", "--horizon", "1000"]])
+def test_second_form_of_one_input_exits_2(capsys, point, extra, command):
+    assert run_cli(capsys, [*command, *point])[0] == 0
+    code, out, err = run_cli(capsys, [*command, *point, *extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"aoilink: error: {extra[0]} cannot be combined with ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "base, extra, flag",
+    [
+        (["--base", "m", "--p", "0.4", "--et", "4.02308"], ["--dbm-min", "2"], "--dbm-min"),
+        (["--base", "m", "--p", "0.4", "--et", "4.02308"], ["--rate", "2"], "--rate"),
+        (["--base", "m", "--p", "0.4", "--et", "4.02308"], ["--pmax-dbm", "20"], "--pmax-dbm"),
+        (["--base", "power", "--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "3", *POWER_LINK],
+         ["--p", "0.9"], "--p"),
+        (["--base", "power", "--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "3", *POWER_LINK],
+         ["--et", "99"], "--et"),
+    ],
+)
+def test_sweep_es_rejects_the_other_bases_flags(capsys, base, extra, flag):
+    argv = ["sweep", "es", "--es-list", "0,4.02308", "--M", "1..3", *base]
+    assert run_cli(capsys, argv)[0] == 0
+    code, out, err = run_cli(capsys, [*argv, *extra])
+    assert code == 2
+    assert out == ""
+    assert err == f"aoilink: error: {flag} is not used with {base[0]} {base[1]}\n"
+
+
 def test_invalid_probability_exit_2(capsys):
     code, _, err = run_cli(capsys, ["analytic", "--p", "1.0", "--M", "1", *REF])
     assert code == 2
@@ -507,6 +557,86 @@ def test_make_tradeoff_curves_script(tmp_path, capsys, monkeypatch):
         "power_control_sweep.csv": 42,
         "es_sweep_power_control.csv": 28,
     }
+
+
+POINT_FLAGS = ("--p", "--M", "--es", "--et", "--pt-dbm", "--rate", "--sigma2",
+               "--snr-ref-db", "--p-ref-dbm", "--pc", "--eta", "--pmax-dbm")
+GRID_FLAGS = ("--dbm-min", "--dbm-max", "--dbm-step", "--rate", "--snr-ref-db",
+              "--p-ref-dbm", "--pc", "--eta", "--pmax-dbm")
+POWER_GRID = ["--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "3", *POWER_LINK]
+# Per subcommand: an argv that succeeds, cheaply, and the flags to draw; a
+# drawn flag comes later, so it replaces a value of the argv.
+FUZZ_COMMANDS = [
+    (["analytic", *P_POINT], POINT_FLAGS),
+    (["simulate", *P_POINT, "--horizon", "1000"],
+     (*POINT_FLAGS, "--estimator", "--horizon", "--warmup", "--batches", "--seed", "--trace")),
+    (["sweep", "m", "--p", "0.4", "--M", "1..3", *REF], ("--p", "--M", "--es", "--et", "--normalizer", "--pareto")),
+    (["sweep", "power", *POWER_GRID, "--M", "1..3", "--es", "1"],
+     ("--M", "--es", *GRID_FLAGS, "--normalizer", "--pareto")),
+    (["sweep", "es", "--es-list", "0,1", "--M", "1..3", "--p", "0.4", "--et", "1"],
+     ("--es-list", "--base", "--p", "--M", "--et", "--tx-ref", *GRID_FLAGS)),
+    (["validate", "--slots", "2000", "--p", "0.4", "--M", "1,3"],
+     ("--grid", "--slots", "--cycles", "--p", "--M", "--seed", "--es", "--et", "--batches")),
+]
+# Ordinary, boundary and malformed values of each flag; horizons stay at or
+# below 1e4 and grids at a few points. None marks a flag without a value.
+FUZZ_VALUES = {
+    "--p": ["0", "0.4", "0.999", "1", "-0.1", "nan", "0.1,0.7", "x"],
+    "--M": ["1", "3", "1..3", "0", str(10**20), "3..1", "a"],
+    "--es": ["0", "4.02308", "-1", "nan", "inf"],
+    "--et": ["0", "4.02308", "-1", "nan", "inf"],
+    "--pt-dbm": ["20", "-10", "inf"],
+    "--rate": ["2", "0", "-1"],
+    "--sigma2": ["1e-5", "0"],
+    "--snr-ref-db": ["20", "-3"],
+    "--p-ref-dbm": ["20", "-1e1"],
+    "--pc": ["2.1", "-1"],
+    "--eta": ["19.2308", "0"],
+    "--pmax-dbm": ["20", "nan"],
+    "--estimator": ["slot", "cycle", "bogus"],
+    "--horizon": ["1", "100", "10000", "0"],
+    "--warmup": ["0", "10", "9999", "-1"],
+    "--batches": ["1", "2", "100"],
+    "--seed": ["0", "7", "-1", str(2**64)],
+    "--dbm-min": ["2", "-10", "inf"],
+    "--dbm-max": ["20", "2", "inf"],
+    "--dbm-step": ["3", "0", "-1", "1e-12"],
+    "--es-list": ["0,4.02308", "nan", ""],
+    "--base": ["m", "power", "x"],
+    "--tx-ref": ["1", "0", "-1"],
+    "--normalizer": ["2", "0", "nan"],
+    "--slots": ["100", "10000", "0"],
+    "--cycles": ["100", "10000", "0"],
+    "--grid": ["default", "other"],
+    "--format": ["csv", "json", "xml"],
+    "--pareto": [None],
+    "--output": ["out.txt", "missing/out.txt"],
+    "--trace": ["trace.csv"],
+    "--config": ["m.json", "missing.json"],
+}
+COMMON_FLAGS = ("--format", "--output", "--config")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    argv, flags = draw(st.sampled_from(FUZZ_COMMANDS))
+    for flag in draw(st.lists(st.sampled_from((*flags, *COMMON_FLAGS)), max_size=4)):
+        value = draw(st.sampled_from(FUZZ_VALUES[flag]))
+        argv = [*argv, flag] if value is None else [*argv, flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
+    # Any argv from the flag vocabulary gives a documented exit code and no
+    # traceback (an uncaught exception fails the test), and leaves no .part file.
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text('{"M": 2}')
+    code, _, err = run_cli(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.part"))
 
 
 # ---------------------------------------------------------------------------

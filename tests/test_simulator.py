@@ -242,6 +242,24 @@ def test_cycle_sim_counts_exact_past_int64(max_tx):
     assert res.packets_generated == sum(sensed.tolist())
 
 
+def test_cycle_sim_counts_exact_past_int64_within_one_chunk():
+    # Mean cycle 1e15 slots, so the 20,000 cycles of one draw chunk already
+    # cover ~2e19 > 2**63 slots.
+    cfg = make_config(p=1 - 1e-15, max_tx=3, horizon=20_000, warmup=1)
+    res = run_cycle_sim(cfg)
+    lengths, _, sensed = sample_cycles(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots)
+    assert res.slots == sum(lengths.tolist()) > 2**63
+    assert res.packets_generated == sum(sensed.tolist())
+
+
+def test_cycle_sim_single_tx_energy_near_largest_p():
+    # With max_tx = 1 every cycle slot senses, so the energy is Es + Et. At
+    # the largest p below 1 (mean cycle ~9e15 slots) the sensing counts of one
+    # 2,000-cycle batch pass 2**63, so they must not be summed in int64.
+    cfg = make_config(p=0.9999999999999999, max_tx=1, es=1.25, et=0.5, horizon=200_000, warmup=1)
+    assert run_cycle_sim(cfg).avg_energy_est == pytest.approx(1.75, rel=1e-12, abs=0)
+
+
 def test_empirical_pmfs_match_analytic():
     p, max_tx, cycles = 0.4, 3, 200_000
     lengths, delivered, sensed = sample_cycles(
