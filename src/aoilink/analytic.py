@@ -231,10 +231,51 @@ def delivered_tx_count_pmf(m: int, p: float, max_tx: int) -> float:
     return (1.0 - p) / comp * p ** (m - 1)
 
 
+# Taylor coefficients of 1/expm1(t) - 1/t beyond its -1/2: B_2k / (2k)! for
+# the odd powers t, t**3, ..., t**13 (Bernoulli numbers).
+_BERNOULLI_TERMS = (
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+)
+
+
+def _inverse_expm1_gap(t: float) -> float:
+    """``1/expm1(t) - 1/t`` for t > 0, in (-1/2, 0), to a few ulps.
+
+    The two terms nearly cancel for small t, so below 0.5 the series is
+    summed instead (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 1); its next term is below 1e-17 there.
+    """
+    if t < 0.5:
+        t2 = t * t
+        acc = 0.0
+        for coeff in reversed(_BERNOULLI_TERMS):
+            acc = acc * t2 + coeff
+        return acc * t - 0.5
+    if t > 700.0:  # 1/expm1(t) is below 1e-304, and expm1 overflows past 709
+        return -1.0 / t
+    return 1.0 / math.expm1(t) - 1.0 / t
+
+
 def delivered_tx_count_mean(p: float, max_tx: int) -> float:
-    """Mean number of transmissions spent on the packet that gets through."""
-    pm, comp = pow_complement(p, max_tx)
-    return 1.0 / (1.0 - p) - max_tx * pm / comp
+    """Mean number of transmissions spent on the packet that gets through.
+
+    ``1/(1 - p) - max_tx p**max_tx / (1 - p**max_tx)`` subtracts two terms of
+    order 1/(1 - p) as p nears 1. With ``x = -log p`` the mean is
+    ``1 + g(x) - max_tx g(max_tx x)``, ``g(t) = 1/expm1(t) - 1/t``, whose
+    terms have the same sign.
+    """
+    _check_p(p)
+    _check_max_tx(max_tx)
+    if p == 0.0:
+        return 1.0
+    x = -math.log(p)
+    return 1.0 + _inverse_expm1_gap(x) - max_tx * _inverse_expm1_gap(max_tx * x)
 
 
 def sense_count_pmf(l: int, p: float, max_tx: int) -> float:

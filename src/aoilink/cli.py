@@ -13,6 +13,12 @@ file (``--config``) may supply any flag value, keyed by the flag's long name
 with dashes or underscores; argparse parses it as that flag, and explicit
 flags win. Exit codes: 0 success, 1 validation failure or I/O error, 2 bad
 configuration or usage.
+
+``analytic`` and ``sweep`` run on the closed forms alone and never import
+numpy: the simulator-side names (``SimConfig``, ``run_slot_sim``,
+``run_cycle_sim``, ``write_age_trace``, ``build_report``) are bound as module
+attributes on first use, by ``simulate``/``validate`` or by an attribute
+lookup from outside.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import contextlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -47,8 +52,9 @@ from .output import (
     emit_result_csv,
     emit_result_json,
 )
-from .simulator import SimConfig, run_cycle_sim, run_slot_sim, write_age_trace
 from .sweep import (
+    DEFAULT_MAX_TX_GRID,
+    DEFAULT_P_GRID,
     MAX_GRID_POINTS,
     EsSweep,
     MSweep,
@@ -60,9 +66,28 @@ from .sweep import (
     pareto_front,
     power_sweep,
 )
-from .validation import DEFAULT_MAX_TX_GRID, DEFAULT_P_GRID, build_report
 
 __all__ = ["main", "run", "build_parser"]
+
+# Simulator-side names: their home modules import numpy.
+_LAZY = ("SimConfig", "run_slot_sim", "run_cycle_sim", "write_age_trace", "build_report")
+
+
+def _bind(name: str):
+    """The module attribute ``name``, taken from the package on first use.
+
+    A binding already present (for example one replaced from outside) is
+    never overwritten, so callers always get the current attribute.
+    """
+    if name not in globals():
+        globals()[name] = getattr(sys.modules[__package__], name)
+    return globals()[name]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _bind(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -317,7 +342,7 @@ def _handle_analytic(args) -> tuple[int, str]:
 def _handle_simulate(args) -> tuple[int, str]:
     link, pt_dbm = _resolve_link(args)
     energy = _resolve_energy(args, pt_dbm)
-    cfg = SimConfig(
+    cfg = _bind("SimConfig")(
         link=link,
         policy=Policy(_require(args.M, "--M")),
         energy=energy,
@@ -329,11 +354,11 @@ def _handle_simulate(args) -> tuple[int, str]:
     if args.estimator == "cycle":
         if args.trace is not None:
             raise CliError("--trace requires the slot estimator")
-        result = run_cycle_sim(cfg)
+        result = _bind("run_cycle_sim")(cfg)
     else:
-        result = run_slot_sim(cfg)
+        result = _bind("run_slot_sim")(cfg)
         if args.trace is not None:
-            _atomic_write(args.trace, lambda tmp: write_age_trace(cfg, tmp))
+            _atomic_write(args.trace, lambda tmp: _bind("write_age_trace")(cfg, tmp))
     emit = emit_result_csv if args.format == "csv" else emit_result_json
     return 0, emit(result, args.estimator, failure_prob(link), cfg.policy.max_tx)
 
@@ -341,6 +366,8 @@ def _handle_simulate(args) -> tuple[int, str]:
 def _atomic_write(path: str, write: Callable[[str], object]) -> None:
     """Have ``write`` fill a ``.part`` file beside ``path``, then rename it
     over ``path``; on any error the ``.part`` file is removed."""
+    import tempfile  # only --output and --trace pay for it
+
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".part")
     os.close(fd)
@@ -397,9 +424,14 @@ def _handle_sweep_es(args) -> tuple[int, str]:
 
 
 def _handle_validate(args) -> tuple[int, str]:
-    report = build_report(
-        p_values=parse_float_list(args.p, "--p"),
-        max_tx_values=parse_int_list(args.M, "--M"),
+    p_values = parse_float_list(args.p, "--p")
+    max_tx_values = parse_int_list(args.M, "--M")
+    points = len(p_values) * len(max_tx_values)
+    if points > MAX_GRID_POINTS:
+        raise CliError(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")
+    report = _bind("build_report")(
+        p_values=p_values,
+        max_tx_values=max_tx_values,
         energy=EnergyParams(args.es, args.et),
         slots=args.slots,
         cycles=args.slots if args.cycles is None else args.cycles,

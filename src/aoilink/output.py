@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .simulator import SimResult
 from .sweep import TradeoffCurve
-from .validation import ValidationReport
+
+if TYPE_CHECKING:  # annotations only: importing these loads numpy
+    from .simulator import SimResult
+    from .validation import ValidationReport
 
 __all__ = [
     "CURVE_FIELDS",

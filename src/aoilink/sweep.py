@@ -51,6 +51,11 @@ __all__ = [
 # may expand; checked before allocating.
 MAX_GRID_POINTS = 1_000_000
 
+# The grid ``validate`` checks by default; kept here, free of numpy, so the
+# CLI can build its parser without importing the simulator.
+DEFAULT_P_GRID = (0.1, 0.4, 0.7)
+DEFAULT_MAX_TX_GRID = (1, 3, 6)
+
 
 def _check_size(points: int) -> None:
     if points > MAX_GRID_POINTS:

@@ -11,6 +11,7 @@ from typing import Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
 from .simulator import SimConfig, SimResult, run_cycle_sim, run_slot_sim
+from .sweep import DEFAULT_MAX_TX_GRID, DEFAULT_P_GRID
 
 __all__ = [
     "ValidationPoint",
@@ -20,9 +21,6 @@ __all__ = [
     "DEFAULT_P_GRID",
     "DEFAULT_MAX_TX_GRID",
 ]
-
-DEFAULT_P_GRID = (0.1, 0.4, 0.7)
-DEFAULT_MAX_TX_GRID = (1, 3, 6)
 
 STDERR_MULTIPLE = 3.0
 RELATIVE_FLOOR = 0.005

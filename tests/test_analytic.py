@@ -241,6 +241,46 @@ def test_pow_complement_edge_cases():
     assert pow_complement(0.25, 1) == (0.25, 0.75)
 
 
+def exact_delivered_tx_count_mean(p, max_tx):
+    with mp.workdps(60):
+        pm = mp.mpf(p) ** max_tx
+        return 1 / (1 - mp.mpf(p)) - max_tx * pm / (1 - pm)
+
+
+def assert_delivered_mean_accurate(p, max_tx):
+    exact = exact_delivered_tx_count_mean(p, max_tx)
+    with mp.workdps(60):
+        assert abs(delivered_tx_count_mean(p, max_tx) - exact) / exact <= 4e-15
+
+
+EXTREME_P = [1e-300, 1e-100, 1e-10, 0.1, 0.5, 0.9] + [1.0 - 10.0**-k for k in range(2, 16)]
+
+
+@pytest.mark.parametrize("p", EXTREME_P)
+@pytest.mark.parametrize("max_tx", [1, 2, 6, 1000, 10**6, 10**9])
+def test_delivered_tx_count_mean_against_mpmath(p, max_tx):
+    # The subtractive form returned 3.375 for 3.5 at p = 1 - 1e-15, M = 6.
+    assert_delivered_mean_accurate(p, max_tx)
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=1e-300, max_value=1.0 - 1e-15),
+        st.floats(min_value=-15.0, max_value=-1.0).map(lambda e: 1.0 - 10.0**e),
+    ),
+    st.integers(min_value=1, max_value=10**9),
+)
+def test_delivered_tx_count_mean_property(p, max_tx):
+    assert_delivered_mean_accurate(p, max_tx)
+
+
+def test_delivered_tx_count_mean_rejects_bad_input():
+    with pytest.raises(ValueError):
+        delivered_tx_count_mean(1.0, 3)
+    with pytest.raises(ValueError):
+        delivered_tx_count_mean(0.5, 0)
+
+
 # ---------------------------------------------------------------------------
 # Identities, normalization, and moment consistency
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,11 +12,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import aoilink
+import aoilink.cli as cli
 from aoilink.analytic import EnergyParams
 from aoilink.cli import main, parse_float_list, parse_int_list
 from aoilink.cli import CliError
 from aoilink.output import (
     CURVE_FIELDS,
+    REPORT_FIELDS,
     RESULT_FIELDS,
     emit_csv,
     emit_json,
@@ -24,6 +29,7 @@ from aoilink.output import (
     rows_to_json,
 )
 from aoilink.sweep import MSweep, m_sweep, normalize_curve
+from aoilink.validation import ValidationReport
 
 REF = ["--es", "4.02308", "--et", "4.02308"]
 POWER_LINK = ["--rate", "2", "--snr-ref-db", "20", "--p-ref-dbm", "20",
@@ -381,6 +387,37 @@ def test_oversize_grid_exits_2_before_allocating(capsys, argv):
     assert "limit of 1000000" in err
 
 
+def validate_grid_argv(p_count, m_count):
+    # --slots 0 makes the real build_report fail at its first point, so a
+    # grid that slipped past the check can never start a long simulation.
+    return ["validate", "--p", ",".join(["0.4"] * p_count), "--M", f"1..{m_count}", "--slots", "0"]
+
+
+def test_validate_grid_at_the_limit_reaches_build_report(capsys, monkeypatch):
+    calls = []
+
+    def fake_build_report(**kwargs):  # the grid is checked, not simulated
+        calls.append(len(kwargs["p_values"]) * len(kwargs["max_tx_values"]))
+        return ValidationReport(points=(), passed=True)
+
+    monkeypatch.setattr(cli, "build_report", fake_build_report)
+    code, out, err = run_cli(capsys, validate_grid_argv(1000, 1000))
+    assert (code, err) == (0, "")
+    assert calls == [1_000_000]
+    assert out == ",".join(REPORT_FIELDS) + "\n"
+
+
+@pytest.mark.parametrize("p_count, m_count", [(1001, 1000), (1_000_001, 1)])
+def test_validate_grid_past_the_limit_exits_2(capsys, monkeypatch, p_count, m_count):
+    calls = []
+    monkeypatch.setattr(cli, "build_report", lambda **kwargs: calls.append(kwargs))
+    code, out, err = run_cli(capsys, validate_grid_argv(p_count, m_count))
+    assert code == 2
+    assert out == "" and calls == []
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+    assert f"grid of {p_count * m_count} points exceeds the limit of 1000000" in err
+
+
 @pytest.mark.parametrize("flag", ["--output", "--trace"])
 def test_failed_atomic_write_leaves_no_part_file(tmp_path, capsys, flag):
     blocker = tmp_path / "taken"
@@ -637,6 +674,90 @@ def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.part"))
+
+
+# ---------------------------------------------------------------------------
+# Import cost: the closed-form path never loads numpy
+# ---------------------------------------------------------------------------
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter that imports this aoilink; return its
+    last stdout line as JSON."""
+    src = str(Path(aoilink.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+CLOSED_FORM_CALLS = [
+    ["analytic", "--p", "0.4", "--M", "3", *REF],
+    ["sweep", "m", "--p", "0.4,0.7", "--M", "1..6", *REF],
+    ["sweep", "power", "--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "2",
+     "--M", "1,3", "--es", "4.02308", *POWER_LINK, "--pareto"],
+    ["sweep", "es", "--es-list", "0.5,4", "--p", "0.4", "--M", "1..4", "--et", "4.02308",
+     "--format", "json"],
+    ["--help"],
+]
+
+
+def test_closed_form_path_does_not_import_numpy():
+    seen = run_fresh(f"""
+import contextlib, io, json, sys
+steps = {{}}
+import aoilink
+steps["import aoilink"] = "numpy" in sys.modules
+import aoilink.cli
+steps["import aoilink.cli"] = "numpy" in sys.modules
+for argv in {CLOSED_FORM_CALLS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert aoilink.cli.main(argv) == 0
+    steps[" ".join(argv[:2])] = "numpy" in sys.modules
+listed = set(aoilink.__all__) <= set(dir(aoilink))
+steps["dir(aoilink)"] = "numpy" in sys.modules
+print(json.dumps({{"listed": listed, "numpy_after": steps}}))
+""")
+    assert seen["listed"] is True
+    steps = seen["numpy_after"]
+    assert len(steps) == 2 + len(CLOSED_FORM_CALLS) + 1
+    assert not any(steps.values()), steps
+
+
+def test_simulate_imports_numpy_and_calls_the_current_binding():
+    # Names are bound on first use, never over a binding already set, so a
+    # wrapper installed before the first call is the one that runs.
+    seen = run_fresh(f"""
+import contextlib, io, json, sys
+import aoilink.cli as cli
+import aoilink
+validation = aoilink.validation.__name__  # a submodule not yet imported
+found = callable(getattr(cli, "run_slot_sim"))
+real = cli.run_slot_sim
+calls = []
+cli.run_slot_sim = lambda cfg: calls.append(cfg.horizon_slots) or real(cfg)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["simulate", "--p", "0.4", "--M", "3", *{REF!r}, "--horizon", "500"])
+from aoilink import build_report, run_slot_sim
+print(json.dumps({{
+    "found": found,
+    "code": code,
+    "calls": calls,
+    "numpy": "numpy" in sys.modules,
+    "package": run_slot_sim is real and build_report is aoilink.validation.build_report,
+    "submodules": [validation, aoilink.simulator.run_slot_sim is real],
+}}))
+""")
+    assert seen == {"found": True, "code": 0, "calls": [500], "numpy": True,
+                    "package": True, "submodules": ["aoilink.validation", True]}
+
+
+def test_lazy_names_fail_like_missing_attributes():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        aoilink.nope
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        cli.nope
 
 
 # ---------------------------------------------------------------------------
