@@ -10,13 +10,17 @@ Two independent estimators of the average age and average energy:
   sensing events are deterministic functions of it.
 
 Randomness comes from numpy's default generator (PCG64) seeded with
-``SimConfig.seed``: one uniform per slot, run through the numpy kernel
-:func:`_slot_chunk`, or one geometric variate per cycle. Both estimators draw
-and reduce in chunks of ``_CHUNK`` (65,536), so memory is flat in the
-horizon, and PCG64 yields the same stream whether drawn at once or in chunks,
-so identical configs give bit-identical results on one build. Near ``p = 1``
-the cycle sums pass 2**52 and round, so their last bits depend on the order
-of summation; the counters are exact integers.
+``SimConfig.seed``: one uniform per slot, or one geometric variate per cycle.
+Both estimators draw and reduce in chunks of ``_CHUNK`` (65,536), so memory
+is flat in the horizon, and PCG64 yields the same stream whether drawn at
+once or in chunks, so identical configs give bit-identical results on one
+build. The slot estimator reduces each chunk per run of channel outcomes
+(:func:`_run_sums`), in exact integer sums equal to those of the per-slot
+kernel :func:`_slot_chunk`; the age trace runs that kernel and renders each
+chunk's rows as bytes (:func:`_csv_rows`). Draws, results and trace bytes
+are those of the per-slot code these replaced. Near ``p = 1`` the cycle
+sums pass 2**52 and round, so their last bits depend on the order of
+summation; the counters are exact integers.
 
 Timing convention: sensing happens instantly at slot start, the ACK/NACK is
 revealed at slot end, and on a success the age resets at slot end to the
@@ -49,6 +53,11 @@ __all__ = [
 _CHUNK = 1 << 16  # slots or cycles per kernel call; bounds both estimators' memory
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration shared by both estimators.
@@ -72,8 +81,7 @@ class SimConfig:
     batches: int = 100
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.horizon_slots < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon_slots}")
         if self.warmup_slots is None:
@@ -150,8 +158,9 @@ class SlotMachine:
 
     Drive it with channel outcomes (True = failure), one slot or one chunk at
     a time. Its transitions are those of :func:`_slot_chunk`, the kernel that
-    the slot estimator and the trace exporter also run, so the replayable
-    surface used by the equivalence tests is the code that produces results.
+    the trace exporter also runs and whose per-slot sums the slot estimator's
+    per-run reduction reproduces, so the replayable surface used by the
+    equivalence tests is the code that produces results.
     """
 
     def __init__(self, max_tx: int):
@@ -211,6 +220,83 @@ def _add_batch_sums(sums, rows, first: int, warmup: int, width: int) -> None:
             acc[b] += v
 
 
+def _prefix(x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``x[:i].sum()`` for each ``i`` of the sorted indices ``j``; ``j[0] == 0``
+    and every index is below ``x.size``."""
+    parts = np.add.reduceat(x, j)[:-1]
+    parts[j[1:] == j[:-1]] = 0
+    return np.concatenate(([0], np.cumsum(parts)))
+
+
+def _run_sums(fails: np.ndarray, max_tx: int, k: int, last: int, cuts: list[int]):
+    """Sums over the pieces of one chunk, reduced per run of failures.
+
+    For each piece ``[cuts[i], cuts[i + 1])`` (``cuts`` rises from 0 to ``c =
+    fails.size``): the sums of the slot-start ages, of the sensing events and
+    of the deliveries that :func:`_slot_chunk` yields slot by slot from the
+    state ``(k, last)``; then the state leaving the chunk. All are exact
+    integers, computed with work per failure run rather than per slot.
+
+    A failure run fills slots ``[start, end)`` and its packet is delivered at
+    ``end``. If ``k > 0`` the chunk opens inside run 0 (``start = 0``, and
+    ``end = 0`` when slot 0 succeeds); an open run with ``end = c``, possibly
+    empty, always comes last. A run entered ``k0`` slots after the last
+    delivery (``k`` for run 0, else 0) has its ``r = end - start`` failures
+    and its delivery at ``k0 .. k0 + r`` slots since delivery. They add
+    ``(r + 1) * k0 + r * (r + 1) / 2`` to the ages, sense at each multiple
+    of ``m`` in that range, and deliver a packet of ``(k0 + r) % m + 1``
+    transmissions. Any other success comes right after a delivery: it senses
+    once and adds 0. The rest of each age is ``last``: the entry ``last`` up
+    to the chunk's first delivery, 1 after it, plus ``tx - 1`` on each slot
+    that follows a delivery of ``tx`` up to the next delivery. A cut inside a
+    run splits that run's sums at the cut.
+    """
+    c = fails.size
+    m = min(max_tx, k + c)  # every k_i is below k + c, so a larger limit never binds
+    flips = np.flatnonzero(fails[1:] != fails[:-1]) + 1
+    lead, tail = bool(fails[0]), bool(fails[-1])
+    carried = lead or k > 0
+    start = np.concatenate((np.zeros(int(carried), int), flips[lead::2], np.full(int(not tail), c)))
+    end = np.concatenate((np.zeros(int(carried and not lead), int), flips[1 - lead :: 2], [c]))
+    r = end - start
+    senses = r // m  # sensing events of each run and its delivery, less one
+    tx_extra = r - senses * m  # tx - 1 of each run's delivery
+    if carried:
+        r0 = int(r[0])
+        tx_extra[0] = (k + r0) % m
+        senses[0] = (k + r0) // m - (k - 1) // m - 1
+    # Slots from each run's delivery up to and including the next delivery;
+    # the part past a cut (or the chunk end) is taken off at the cut.
+    after = np.ones_like(r)
+    after[:-1] += (start[1:] == end[:-1] + 1) * r[1:]
+    # int64-exact: the chunk's c ages are each below 2 * horizon
+    ages = (r * (r + 1) >> 1) + tx_extra * after
+    if carried:
+        ages[0] += (r0 + 1) * k
+
+    t = np.asarray(cuts)
+    j = np.searchsorted(end, t)  # runs delivered before each cut; j < start.size
+    n = np.maximum(t - start[j], 0)  # slots of run j before the cut
+    k0 = np.where(j == 0, k, 0)
+    before = j - 1  # the last run delivered before the cut (if j > 0)
+    overshoot = np.maximum(after[before] - (t - 1 - end[before]), 0) * (j > 0)
+    first_delivery = int(end[0]) if carried else 0
+    delivered = t - _prefix(r, j) - n
+    sums = (
+        _prefix(ages, j) + n * k0 + (n * (n - 1) >> 1) - tx_extra[before] * overshoot
+        + last * np.minimum(first_delivery + 1, t) + np.maximum(t - 1 - first_delivery, 0),
+        _prefix(senses, j) + (k0 + n + m - 1) // m - (k0 + m - 1) // m + delivered,
+        delivered,
+    )
+    s = int(start[-1])  # the open run's first slot
+    if s == 0:
+        last_out = last
+    else:
+        last_out = int(tx_extra[-2]) + 1 if r.size > 1 and int(end[-2]) == s - 1 else 1
+    k_out = int(r[-1]) + (k if r.size == 1 else 0)
+    return *(np.diff(x).tolist() for x in sums), k_out, last_out
+
+
 def run_slot_sim(cfg: SimConfig) -> SimResult:
     """Slot-by-slot estimate of average age and average energy.
 
@@ -218,24 +304,31 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
     (including the one at t=0) charges the sensing energy. The age estimate
     is the continuous time integral of the age over the post-warmup slots
     divided by their count; since the age is piecewise linear with unit
-    slope, each slot contributes its start age plus one half.
+    slope, each slot contributes its start age plus one half. Each chunk is
+    cut at the warmup and batch edges and reduced by :func:`_run_sums`.
     """
-    n = cfg.horizon_slots
-    kept = n - cfg.warmup_slots
-    width = kept // cfg.batches
+    n, warmup, batches = cfg.horizon_slots, cfg.warmup_slots, cfg.batches
+    kept = n - warmup
+    width = kept // batches
 
-    machine = SlotMachine(cfg.policy.max_tx)
-    packets = successes = 0
+    def batch(slot: int) -> int:  # -1 in the warmup, ``batches`` past the last full batch
+        return -1 if slot < warmup else min((slot - warmup) // width, batches)
+
+    k = last = first = packets = successes = 0
     # Exact integer sums of slot-start ages and of sensing events, per batch.
-    ages, senses = sums = [[0] * (cfg.batches + 1) for _ in range(2)]
+    ages, senses = [0] * (batches + 1), [0] * (batches + 1)
     for fails in _draws(cfg.link, cfg.seed, n):
-        first = machine.slot
-        tx, age = machine.advance(fails)
-        sensed = tx == 1
-        packets += int(np.count_nonzero(sensed))
-        successes += fails.size - int(np.count_nonzero(fails))
-        # int64-exact within a chunk: _CHUNK ages, each below 2 * horizon
-        _add_batch_sums(sums, (age, sensed), first, cfg.warmup_slots, width)
+        c = fails.size
+        b0, b1 = batch(first), batch(first + c - 1)
+        cuts = [0, *(warmup + b * width - first for b in range(b0 + 1, b1 + 1)), c]
+        piece_ages, piece_senses, piece_deliveries, k, last = _run_sums(fails, cfg.policy.max_tx, k, last, cuts)
+        for b, age, sensed in zip(range(b0, b1 + 1), piece_ages, piece_senses):
+            if b >= 0:
+                ages[b] += age
+                senses[b] += sensed
+        packets += sum(piece_senses)
+        successes += sum(piece_deliveries)
+        first += c
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
     aoi_means = (np.array(ages[:-1], dtype=float) + 0.5 * width) / width
@@ -340,21 +433,48 @@ def age_trace(cfg: SimConfig, slots: int | None = None) -> list[SlotEvent]:
     return events
 
 
+def _csv_rows(*columns: np.ndarray) -> bytes:
+    """The bytes of ``"%d,%d,...\n"`` for each row of non-negative integer columns.
+
+    Each column fills a fixed-width field of a ``uint8`` matrix, digits
+    right-aligned and taken by ``// 10`` in uint32 when its values fit, else
+    int64; a field's commas and the newline have columns of their own. The
+    positions left of a value's leading digit stay 0, and no other byte is 0,
+    so dropping every 0 byte leaves the rows.
+    """
+    tops = [int(col.max()) for col in columns]
+    widths = [len(str(top)) for top in tops]
+    out = np.zeros((len(columns[0]), sum(widths) + len(columns)), np.uint8)
+    comma = -1
+    for col, top, width in zip(columns, tops, widths):
+        comma += width + 1
+        out[:, comma] = ord(",")
+        low = int(col.min())
+        value = col.astype(np.uint32 if top < 2**32 else np.int64)
+        for place in range(width):
+            rest = value // 10
+            digit = value - rest * 10 + ord("0")
+            if place and low < 10**place:  # some values have no digit here
+                digit *= value != 0
+            out[:, comma - 1 - place] = digit
+            value = rest
+    out[:, -1] = ord("\n")
+    return out[out != 0].tobytes()
+
+
 def write_age_trace(cfg: SimConfig, path: str | Path, slots: int | None = None) -> None:
     """Export the age trace as CSV with columns ``slot,age,reset``.
 
     ``age`` is the age at slot end after any reset; ``reset`` is 1 on
-    delivery slots and 0 otherwise. Rows are streamed chunk by chunk, so
-    memory stays flat in the trace length. The draws are those of
-    :func:`run_slot_sim` with the same config.
+    delivery slots and 0 otherwise. Rows are rendered and written as bytes
+    chunk by chunk, so memory stays flat in the trace length. The draws are
+    those of :func:`run_slot_sim` with the same config.
     """
     n = _trace_length(cfg, slots)
     machine = SlotMachine(cfg.policy.max_tx)
-    with open(path, "w", newline="") as fh:
-        fh.write("slot,age,reset\n")
+    with open(path, "wb") as fh:
+        fh.write(b"slot,age,reset\n")
         for fails in _draws(cfg.link, cfg.seed, n):
             first = machine.slot
             tx, age = machine.advance(fails)
-            slot = np.arange(first, machine.slot)
-            rows = np.column_stack((slot, np.where(fails, age + 1, tx), ~fails))
-            fh.write("%d,%d,%d\n" * fails.size % tuple(rows.ravel().tolist()))
+            fh.write(_csv_rows(np.arange(first, machine.slot), np.where(fails, age + 1, tx), ~fails))

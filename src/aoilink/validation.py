@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
-from .simulator import SimConfig, SimResult, run_cycle_sim, run_slot_sim
+from .simulator import SimConfig, SimResult, _check_seed, run_cycle_sim, run_slot_sim
 from .sweep import DEFAULT_MAX_TX_GRID, DEFAULT_P_GRID
 
 __all__ = [
@@ -71,6 +71,7 @@ def build_report(
     seed and the point's position, so points are independent runs while the
     whole report stays reproducible from one seed.
     """
+    _check_seed(seed)
     points = []
     for index, (p, max_tx) in enumerate(
         (p, m) for p in p_values for m in max_tx_values

@@ -317,6 +317,15 @@ def test_sweep_es_rejects_the_other_bases_flags(capsys, base, extra, flag):
     assert err == f"aoilink: error: {flag} is not used with {base[0]} {base[1]}\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_validate_seed_out_of_range_exits_2(capsys, seed):
+    # The base seed is checked like simulate's, not wrapped into range.
+    code, out, err = run_cli(capsys, ["validate", "--p", "0.4", "--M", "1", "--slots", "1000", f"--seed={seed}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"aoilink: error: seed must be a 64-bit unsigned integer, got {seed}\n"
+
+
 def test_invalid_probability_exit_2(capsys):
     code, _, err = run_cli(capsys, ["analytic", "--p", "1.0", "--M", "1", *REF])
     assert code == 2
@@ -876,6 +885,22 @@ P_GRID = ",".join(f"{(j + 0.5) / 101:.6f}" for j in range(100))
 )
 def test_sweep_output_digest(capsys, argv, size, digest):
     code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# Recorded from the slot estimator that summed its kernel's per-slot outputs,
+# before it reduced per run of outcomes; 1e6 slots and cycles at each point.
+@pytest.mark.parametrize(
+    "fmt, size, digest",
+    [
+        ("csv", 1314, "766b939a21dc8e92fc263eca4f7e71acb114b58c670100af9f5316dc76bd892f"),
+        ("json", 4688, "02d0438b833ae1b4fcb04475b04b43d089183915ec14fa3581c62587ccf2ed6b"),
+    ],
+)
+def test_validate_output_digest(capsys, fmt, size, digest):
+    code, out, _ = run_cli(capsys, ["validate", "--grid", "default", "--seed", "7", "--format", fmt])
     assert code == 0
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

@@ -5,7 +5,9 @@ chunked numpy slot kernel replaced. They pin every estimate (as
 ``float.hex``) and counter of :func:`run_slot_sim`, and the bytes of
 :func:`write_age_trace`, at horizons on both sides of the chunk boundaries.
 The ``CYCLE_PINNED`` literals were recorded from the cycle estimator that
-drew and reduced all cycles at once, before it streamed by chunk.
+drew and reduced all cycles at once, before it streamed by chunk. The slot
+estimator's per-run reducer and the trace's byte renderer are checked here
+against the per-slot kernel and against ``%d`` formatting.
 """
 
 import hashlib
@@ -14,12 +16,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from aoilink import simulator
 from aoilink.analytic import EnergyParams, FixedFailureLink, Policy
-from aoilink.simulator import SimConfig, _add_batch_sums, run_cycle_sim, run_slot_sim, write_age_trace
+from aoilink.simulator import (
+    SimConfig,
+    _add_batch_sums,
+    _csv_rows,
+    _run_sums,
+    _slot_chunk,
+    run_cycle_sim,
+    run_slot_sim,
+    write_age_trace,
+)
 
 CHUNK = 1 << 16
 HUGE_M = 10**20
@@ -213,3 +224,69 @@ def test_chunked_batch_sums_match_whole_run_sums(n, warmup, batches, c):
     kept = x[warmup:]
     want = [int(kept[b * width : (b + 1) * width].sum()) for b in range(batches)]
     assert got == want + [int(kept[batches * width :].sum())]
+
+
+fail_strings = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=80),
+    st.integers(min_value=1, max_value=80).map(lambda n: [True] * n),
+    st.integers(min_value=1, max_value=80).map(lambda n: [False] * n),
+)
+
+
+@given(
+    fail_strings,
+    st.one_of(st.just(1), st.integers(min_value=2, max_value=6), st.just(HUGE_M)),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=7),
+    st.sets(st.integers(min_value=1, max_value=79), max_size=6),
+)
+# Cuts inside a failure run (3), exactly at a delivery (5) and right after one (6).
+@example([False, False, True, True, True, False, True, True], 3, 0, 1, {3, 5, 6})
+@example([True] * 9, 2, 4, 2, {1, 4})  # no delivery; the entry run is carried through
+@example([False] * 5, HUGE_M, 7, 3, {1})  # the entry run is closed by slot 0
+def test_run_sums_equal_the_per_slot_kernel(fails, max_tx, k, last, cut_set):
+    # Each piece's age sum, sensing count and deliveries, and the state leaving
+    # the chunk, are the sums of the per-slot kernel's outputs.
+    fails = np.array(fails)
+    cuts = [0, *sorted(x for x in cut_set if x < fails.size), fails.size]
+    tx, age, k_out, last_out = _slot_chunk(fails, max_tx, k, last)
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    want = (
+        [int(age[lo:hi].sum()) for lo, hi in pieces],
+        [int((tx[lo:hi] == 1).sum()) for lo, hi in pieces],
+        [int((~fails[lo:hi]).sum()) for lo, hi in pieces],
+        k_out,
+        last_out,
+    )
+    assert _run_sums(fails, max_tx, k, last, cuts) == want
+
+
+def rows_by_format(*columns):
+    return "".join("%d,%d,%d\n" % row for row in zip(*(col.tolist() for col in columns))).encode()
+
+
+POWERS_OF_TEN = [v for e in range(10) for v in (10**e - 1, 10**e)]  # 0, 1, 9, 10, ... 10**9
+
+
+@pytest.mark.parametrize(
+    "slot, age",
+    [
+        # uint32 digits, up to the largest uint32 value
+        (np.arange(len(POWERS_OF_TEN) + 1), np.array([*POWERS_OF_TEN, 2**32 - 1])),
+        # int64 digits: 2**32 and slot numbers past 2**32
+        (np.arange(2**32 - 10, 2**32 + 12), np.array([*POWERS_OF_TEN, 2**32 - 1, 2**32])),
+        # a one-row chunk
+        (np.array([7]), np.array([0])),
+        (np.array([2**33]), np.array([10**9])),
+    ],
+    ids=["uint32", "int64", "one-row", "one-row-int64"],
+)
+def test_csv_rows_equal_percent_d(slot, age):
+    reset = np.arange(slot.size) % 3 == 0
+    assert _csv_rows(slot, age, reset) == rows_by_format(slot, age, reset)
+
+
+@given(st.lists(st.tuples(*[st.integers(min_value=0, max_value=2**40)] * 3), min_size=1, max_size=30))
+def test_csv_rows_equal_percent_d_on_random_columns(rows):
+    columns = [np.array(col) for col in zip(*rows)]
+    assert _csv_rows(*columns) == rows_by_format(*columns)
