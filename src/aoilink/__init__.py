@@ -52,8 +52,6 @@ from .sweep import (
 _LAZY = {
     "SimConfig": "simulator",
     "SimResult": "simulator",
-    "SlotEvent": "simulator",
-    "SlotMachine": "simulator",
     "age_trace": "simulator",
     "run_cycle_sim": "simulator",
     "run_slot_sim": "simulator",
@@ -91,8 +89,6 @@ __all__ = [
     "transmit_energy",
     "SimConfig",
     "SimResult",
-    "SlotEvent",
-    "SlotMachine",
     "age_trace",
     "run_cycle_sim",
     "run_slot_sim",

@@ -136,11 +136,15 @@ def failure_prob(link: LinkSpec) -> float:
 
     A fixed link returns its probability verbatim. A Rayleigh link returns
     the outage probability ``1 - exp(-(2**rate - 1) * noise_power / tx_power)``,
-    clamped below 1.0 if the budget is so poor that it rounds up to 1.
+    clamped below 1.0 if the budget is so poor that it rounds up to 1, as it
+    does when the exponent overflows a float.
     """
     if isinstance(link, FixedFailureLink):
         return link.p
-    exponent = (2.0 ** link.rate - 1.0) * link.noise_power / link.tx_power
+    try:
+        exponent = (2.0 ** link.rate - 1.0) * link.noise_power / link.tx_power
+    except OverflowError:  # rate >= 1024: p rounds to 1 unless tx/noise power passes 1e306
+        return _ONE_BELOW
     return min(-math.expm1(-exponent), _ONE_BELOW)
 
 
@@ -154,7 +158,10 @@ def dbm_to_watts(dbm: float) -> float:
     """Convert decibel-milliwatts to watts: 10**((dbm - 30) / 10)."""
     if not math.isfinite(dbm):
         raise ValueError(f"dBm value must be finite, got {dbm}")
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm} dBm is past the float range in watts") from None
 
 
 def noise_from_reference_snr(p_ref: float, snr_ref_db: float) -> float:
@@ -162,7 +169,10 @@ def noise_from_reference_snr(p_ref: float, snr_ref_db: float) -> float:
     _check_positive("reference power", p_ref)
     if not math.isfinite(snr_ref_db):
         raise ValueError(f"reference SNR must be finite, got {snr_ref_db}")
-    return p_ref / 10.0 ** (snr_ref_db / 10.0)
+    try:
+        return p_ref / 10.0 ** (snr_ref_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10**(snr/10) past the float range or 0
+        raise ValueError(f"reference SNR of {snr_ref_db} dB is past the float range") from None
 
 
 def _check_p(p: float) -> None:

@@ -351,16 +351,15 @@ def _handle_simulate(args) -> tuple[int, str]:
         warmup_slots=args.warmup,
         batches=args.batches,
     )
-    if args.estimator == "cycle":
-        if args.trace is not None:
-            raise CliError("--trace requires the slot estimator")
-        result = _bind("run_cycle_sim")(cfg)
-    else:
-        result = _bind("run_slot_sim")(cfg)
-        if args.trace is not None:
-            _atomic_write(args.trace, lambda tmp: _bind("write_age_trace")(cfg, tmp))
+    if args.estimator == "cycle" and args.trace is not None:
+        raise CliError("--trace requires the slot estimator")
+    result = _bind("run_cycle_sim" if args.estimator == "cycle" else "run_slot_sim")(cfg)
     emit = emit_result_csv if args.format == "csv" else emit_result_json
-    return 0, emit(result, args.estimator, failure_prob(link), cfg.policy.max_tx)
+    # Rendered first: a result that cannot be emitted leaves no trace file.
+    text = emit(result, args.estimator, failure_prob(link), cfg.policy.max_tx)
+    if args.trace is not None:
+        _atomic_write(args.trace, lambda tmp: _bind("write_age_trace")(cfg, tmp))
+    return 0, text
 
 
 def _atomic_write(path: str, write: Callable[[str], object]) -> None:

@@ -3,7 +3,8 @@ reports, plus the parsers that make the emitted artifacts round-trip.
 
 Floats are printed with 9 significant digits, enough that parsing an
 emitted file and re-emitting it reproduces the bytes exactly. Missing
-fields are empty in CSV and null in JSON.
+fields are empty in CSV and null in JSON. The row builders reject a
+non-finite value, so no emitted file carries ``nan`` or ``inf``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .sweep import TradeoffCurve
@@ -82,6 +84,15 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _finite(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """``rows``, once every float in them is checked to be finite."""
+    for row in rows:
+        for name, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is {value}: the inputs are past the float range")
+    return rows
+
+
 def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, Any]]:
     """Flatten curves into row dicts with the CURVE_FIELDS keys.
 
@@ -103,7 +114,7 @@ def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, Any]]:
                     "avg_aoi": pt.avg_aoi,
                 }
             )
-    return rows
+    return _finite(rows)
 
 
 def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
@@ -190,7 +201,7 @@ def parse_json(text: str) -> list[dict[str, Any]]:
 def result_rows(
     result: SimResult, estimator: str, p: float, max_tx: int
 ) -> list[dict[str, Any]]:
-    return [
+    return _finite([
         {
             "estimator": estimator,
             "p": p,
@@ -204,7 +215,7 @@ def result_rows(
             "successes": result.successes,
             "seed": result.seed,
         }
-    ]
+    ])
 
 
 def emit_result_csv(result: SimResult, estimator: str, p: float, max_tx: int) -> str:
@@ -236,7 +247,7 @@ def report_rows(report: ValidationReport) -> list[dict[str, Any]]:
                 "cycle_pass": point.cycle_pass,
             }
         )
-    return rows
+    return _finite(rows)
 
 
 def emit_report_csv(report: ValidationReport) -> str:

@@ -14,13 +14,15 @@ Randomness comes from numpy's default generator (PCG64) seeded with
 Both estimators draw and reduce in chunks of ``_CHUNK`` (65,536), so memory
 is flat in the horizon, and PCG64 yields the same stream whether drawn at
 once or in chunks, so identical configs give bit-identical results on one
-build. The slot estimator reduces each chunk per run of channel outcomes
-(:func:`_run_sums`), in exact integer sums equal to those of the per-slot
-kernel :func:`_slot_chunk`; the age trace runs that kernel and renders each
-chunk's rows as bytes (:func:`_csv_rows`). Draws, results and trace bytes
-are those of the per-slot code these replaced. Near ``p = 1`` the cycle
-sums pass 2**52 and round, so their last bits depend on the order of
-summation; the counters are exact integers.
+build. One helper (:func:`_batch_cuts`) cuts each chunk at the warmup and
+batch edges for both estimators. The slot estimator reduces each chunk per
+run of channel outcomes (:func:`_run_sums`), in exact integer sums equal to
+those of the per-slot kernel :func:`_slot_chunk`. That kernel is the only
+per-slot replay: :func:`age_trace` yields its rows chunk by chunk, and
+:func:`write_age_trace` renders them as bytes (:func:`_csv_rows`). Draws,
+results and trace bytes are those of the per-slot code these replaced. Near
+``p = 1`` the cycle sums pass 2**52 and round, so their last bits depend on
+the order of summation; the counters are exact integers.
 
 Timing convention: sensing happens instantly at slot start, the ACK/NACK is
 revealed at slot end, and on a success the age resets at slot end to the
@@ -31,18 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .analytic import EnergyParams, LinkSpec, Policy, _check_max_tx, failure_prob
+from .analytic import EnergyParams, LinkSpec, Policy, failure_prob
 
 __all__ = [
     "SimConfig",
     "SimResult",
-    "SlotEvent",
-    "SlotMachine",
     "run_slot_sim",
     "run_cycle_sim",
     "sample_cycles",
@@ -117,18 +118,6 @@ class SimResult:
     seed: int
 
 
-@dataclass(frozen=True)
-class SlotEvent:
-    """What happened in one slot of the slot-level state machine."""
-
-    slot: int
-    sensed: bool  # a fresh packet was generated (and charged) at slot start
-    tx_count: int  # transmissions of the current packet, including this slot
-    success: bool
-    age_start: int  # age at slot start
-    age_end: int  # age at slot end, after any reset
-
-
 def _slot_chunk(fails: np.ndarray, max_tx: int, k: int, last: int):
     """Advance the slot state machine over one chunk of channel outcomes.
 
@@ -153,41 +142,6 @@ def _slot_chunk(fails: np.ndarray, max_tx: int, k: int, last: int):
     return tx, delivered[:c] + since[:c], int(since[c]), int(delivered[c])
 
 
-class SlotMachine:
-    """Slot-level state machine of the sense/transmit/feedback loop.
-
-    Drive it with channel outcomes (True = failure), one slot or one chunk at
-    a time. Its transitions are those of :func:`_slot_chunk`, the kernel that
-    the trace exporter also runs and whose per-slot sums the slot estimator's
-    per-run reduction reproduces, so the replayable surface used by the
-    equivalence tests is the code that produces results.
-    """
-
-    def __init__(self, max_tx: int):
-        _check_max_tx(max_tx)
-        self.max_tx = max_tx
-        self.slot = 0
-        self.k = 0  # slots since the last delivery
-        self.last = 0  # transmissions of the last delivered packet
-
-    def advance(self, fails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slot transmission counts and start ages for a bool array of outcomes."""
-        tx, age, self.k, self.last = _slot_chunk(fails, self.max_tx, self.k, self.last)
-        self.slot += fails.size
-        return tx, age
-
-    def step(self, fail: bool) -> SlotEvent:
-        return self.replay([fail])[0]
-
-    def replay(self, fails: Iterable[bool]) -> list[SlotEvent]:
-        fails = np.fromiter(fails, dtype=bool)
-        first = self.slot
-        tx, age = self.advance(fails)
-        age_end = np.where(fails, age + 1, tx)
-        rows = zip(fails.tolist(), tx.tolist(), age.tolist(), age_end.tolist())
-        return [SlotEvent(first + i, t == 1, t, not f, a, e) for i, (f, t, a, e) in enumerate(rows)]
-
-
 def _draws(link: LinkSpec, seed: int, n: int) -> Iterator[np.ndarray]:
     """Per-slot failure outcomes of an n-slot run, one uniform per slot, by chunk."""
     rng = np.random.default_rng(seed)
@@ -202,22 +156,19 @@ def _batch_stderr(batch_means: np.ndarray) -> float:
     return float(math.sqrt(float(((batch_means - center) ** 2).sum()) / (b * (b - 1))))
 
 
-def _add_batch_sums(sums, rows, first: int, warmup: int, width: int) -> None:
-    """Add each row's kept samples (column ``j`` is sample ``first + j``; kept
-    from ``warmup`` on) into the matching row of ``sums``, one column per batch
-    of ``width`` samples; the last column gathers the remainder past the last
-    full batch, which enters only the point estimates."""
-    batches, c = len(sums[0]) - 1, len(rows[0])
-    lo = max(warmup - first, 0)
-    if lo >= c:
-        return
-    q0 = first + lo - warmup  # kept index of the first kept sample
-    b0 = min(q0 // width, batches)
-    starts = np.arange(b0, min((first + c - 1 - warmup) // width, batches) + 1) * width - q0
-    starts[0] = 0
-    for acc, row in zip(sums, rows):
-        for b, v in enumerate(np.add.reduceat(row[lo:], starts).tolist(), b0):
-            acc[b] += v
+def _batch_cuts(first: int, c: int, warmup: int, width: int, batches: int) -> tuple[int, list[int]]:
+    """Cut samples ``[first, first + c)`` at the warmup and batch edges.
+
+    Returns the batch of the first piece (-1 in the warmup, ``batches`` past
+    the last full batch, whose remainder enters only the point estimates) and
+    the offsets ``[0, ..., c]`` of the pieces; piece ``i`` is in batch ``b0 + i``.
+    """
+
+    def batch(i: int) -> int:
+        return -1 if i < warmup else min((i - warmup) // width, batches)
+
+    b0, b1 = batch(first), batch(first + c - 1)
+    return b0, [0, *(warmup + b * width - first for b in range(b0 + 1, b1 + 1)), c]
 
 
 def _prefix(x: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -310,32 +261,26 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
     n, warmup, batches = cfg.horizon_slots, cfg.warmup_slots, cfg.batches
     kept = n - warmup
     width = kept // batches
-
-    def batch(slot: int) -> int:  # -1 in the warmup, ``batches`` past the last full batch
-        return -1 if slot < warmup else min((slot - warmup) // width, batches)
-
     k = last = first = packets = successes = 0
-    # Exact integer sums of slot-start ages and of sensing events, per batch.
-    ages, senses = [0] * (batches + 1), [0] * (batches + 1)
+    # Exact integer sums of slot-start ages and of sensing events over the
+    # warmup, each batch, and the remainder past the last full batch.
+    ages, senses = [0] * (batches + 2), [0] * (batches + 2)
     for fails in _draws(cfg.link, cfg.seed, n):
-        c = fails.size
-        b0, b1 = batch(first), batch(first + c - 1)
-        cuts = [0, *(warmup + b * width - first for b in range(b0 + 1, b1 + 1)), c]
+        b0, cuts = _batch_cuts(first, fails.size, warmup, width, batches)
         piece_ages, piece_senses, piece_deliveries, k, last = _run_sums(fails, cfg.policy.max_tx, k, last, cuts)
-        for b, age, sensed in zip(range(b0, b1 + 1), piece_ages, piece_senses):
-            if b >= 0:
-                ages[b] += age
-                senses[b] += sensed
+        for i, (age, sensed) in enumerate(zip(piece_ages, piece_senses), b0 + 1):
+            ages[i] += age
+            senses[i] += sensed
         packets += sum(piece_senses)
         successes += sum(piece_deliveries)
-        first += c
+        first += fails.size
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
-    aoi_means = (np.array(ages[:-1], dtype=float) + 0.5 * width) / width
-    energy_means = et + es * np.array(senses[:-1], dtype=float) / width
+    aoi_means = (np.array(ages[1:-1], dtype=float) + 0.5 * width) / width
+    energy_means = et + es * np.array(senses[1:-1], dtype=float) / width
     return SimResult(
-        avg_aoi_est=(sum(ages) + 0.5 * kept) / kept,
-        avg_energy_est=et + es * (sum(senses) / kept),
+        avg_aoi_est=(sum(ages[1:]) + 0.5 * kept) / kept,
+        avg_energy_est=et + es * (sum(senses[1:]) / kept),
         stderr_aoi=_batch_stderr(aoi_means),
         stderr_energy=_batch_stderr(energy_means),
         slots=n,
@@ -385,13 +330,18 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
     """
     if cfg.warmup_slots < 1:
         raise ValueError("cycle estimator needs warmup >= 1 cycle")
-    width = (cfg.horizon_slots - cfg.warmup_slots) // cfg.batches
-    sums = np.zeros((3, cfg.batches + 1))  # per batch: slots, age area, sensing count
+    warmup, batches = cfg.warmup_slots, cfg.batches
+    width = (cfg.horizon_slots - warmup) // batches
+    # Slots, age area and sensing count over the warmup, each batch, and the remainder.
+    sums = np.zeros((3, batches + 2))
     slots = packets = first = prev = 0  # prev: delivered tx count of the cycle before the chunk
     for lengths, delivered, sensed in _cycle_chunks(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots):
+        b0, cuts = _batch_cuts(first, lengths.size, warmup, width, batches)
         ylen = lengths.astype(float)
         areas = (np.concatenate(([prev], delivered[:-1])) + ylen / 2.0) * ylen
-        _add_batch_sums(sums, (ylen, areas, sensed.astype(float)), first, cfg.warmup_slots, width)
+        pieces = slice(b0 + 1, b0 + len(cuts))
+        for row, x in zip(sums, (ylen, areas, sensed)):
+            row[pieces] += np.add.reduceat(x, cuts[:-1], dtype=float)
         wraps = int(lengths.max()) >= 2**63 // lengths.size  # int64 sums could wrap (p near 1)
         slots += sum(lengths.tolist()) if wraps else int(lengths.sum())
         packets += sum(sensed.tolist()) if wraps else int(sensed.sum())
@@ -399,8 +349,8 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
         first += lengths.size
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
-    total_len, total_area, total_sense = sums.sum(axis=1)
-    blen, barea, bsense = sums[:, :-1]
+    total_len, total_area, total_sense = sums[:, 1:].sum(axis=1)
+    blen, barea, bsense = sums[:, 1:-1]
     return SimResult(
         avg_aoi_est=float(total_area / total_len),
         avg_energy_est=float(es * total_sense / total_len + et),
@@ -413,24 +363,28 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
     )
 
 
-def _trace_length(cfg: SimConfig, slots: int | None) -> int:
+def age_trace(
+    cfg: SimConfig, slots: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Replay the slot state machine over ``slots`` slots (default: the horizon).
+
+    Yields, chunk by chunk, the slot numbers, the ages at slot end after any
+    reset, and the delivery flags. The length is checked on the call, before
+    any draw. The seed and draw discipline are those of :func:`run_slot_sim`,
+    so the trace describes exactly the run that produced the estimates.
+    """
     n = cfg.horizon_slots if slots is None else slots
     if n < 1:
         raise ValueError(f"trace length must be >= 1, got {n}")
-    return n
 
+    def chunks():
+        k = last = first = 0
+        for fails in _draws(cfg.link, cfg.seed, n):
+            tx, age, k, last = _slot_chunk(fails, cfg.policy.max_tx, k, last)
+            yield np.arange(first, first + fails.size), np.where(fails, age + 1, tx), ~fails
+            first += fails.size
 
-def age_trace(cfg: SimConfig, slots: int | None = None) -> list[SlotEvent]:
-    """Replay the slot state machine and return the per-slot events.
-
-    Uses the same seed and draw discipline as :func:`run_slot_sim`, so the
-    trace describes exactly the run that produced the estimates.
-    """
-    machine = SlotMachine(cfg.policy.max_tx)
-    events: list[SlotEvent] = []
-    for fails in _draws(cfg.link, cfg.seed, _trace_length(cfg, slots)):
-        events += machine.replay(fails)
-    return events
+    return chunks()
 
 
 def _csv_rows(*columns: np.ndarray) -> bytes:
@@ -470,11 +424,8 @@ def write_age_trace(cfg: SimConfig, path: str | Path, slots: int | None = None) 
     chunk by chunk, so memory stays flat in the trace length. The draws are
     those of :func:`run_slot_sim` with the same config.
     """
-    n = _trace_length(cfg, slots)
-    machine = SlotMachine(cfg.policy.max_tx)
+    rows = age_trace(cfg, slots)
     with open(path, "wb") as fh:
         fh.write(b"slot,age,reset\n")
-        for fails in _draws(cfg.link, cfg.seed, n):
-            first = machine.slot
-            tx, age = machine.advance(fails)
-            fh.write(_csv_rows(np.arange(first, machine.slot), np.where(fails, age + 1, tx), ~fails))
+        # starmap keeps no chunk alive while the next one is drawn
+        fh.writelines(starmap(_csv_rows, rows))

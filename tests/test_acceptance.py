@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from conftest import cycles_from_rows, reference_trace
+from slot_replay import replay
 
 from aoilink.analytic import (
     EnergyParams,
@@ -26,7 +27,7 @@ from aoilink.analytic import (
     sense_count_mean,
     sense_count_pmf,
 )
-from aoilink.simulator import SlotMachine, _slot_chunk
+from aoilink.simulator import _slot_chunk
 from aoilink.sweep import MSweep, PowerSweep, m_sweep, power_sweep
 from aoilink.validation import build_report
 
@@ -128,7 +129,7 @@ def test_acceptance_6_exhaustive_replay_oracle():
         for length in range(13):
             for bits in itertools.product((False, True), repeat=length):
                 fails = list(bits)
-                events = SlotMachine(max_tx).replay(fails)
+                events = replay(fails, max_tx)
                 rows, sensing_instants = reference_trace(fails, max_tx)
                 assert [e.sensed for e in events] == [r["sensed"] for r in rows]
                 assert [e.age_end for e in events] == [r["age_end"] for r in rows]

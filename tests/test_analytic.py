@@ -57,6 +57,24 @@ def test_failure_prob_stays_below_one():
     assert 0.0 <= p < 1.0
 
 
+def test_failure_prob_clamps_an_overflowing_exponent():
+    # 2**rate passes the float range from rate 1024 on; the outage rounds to 1.
+    assert failure_prob(RayleighLink(2000.0, 1.0, 0.01)) == math.nextafter(1.0, 0.0)
+    assert failure_prob(RayleighLink(1100.0, 1e-20, 1e3)) == math.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("dbm", [4000.0, 1e308])
+def test_dbm_to_watts_past_the_float_range_raises(dbm):
+    with pytest.raises(ValueError, match="past the float range"):
+        dbm_to_watts(dbm)
+
+
+@pytest.mark.parametrize("snr_db", [1e308, 4000.0, -4000.0])
+def test_noise_from_reference_snr_past_the_float_range_raises(snr_db):
+    with pytest.raises(ValueError, match="past the float range"):
+        noise_from_reference_snr(0.1, snr_db)
+
+
 @pytest.mark.parametrize(
     "model, expected",
     [

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -350,6 +351,54 @@ def test_non_finite_energy_exits_2(capsys, argv):
     assert "finite" in err
 
 
+def test_overflowing_outage_exponent_clamps_below_one(capsys):
+    # 2**2000 overflows a float: the budget is hopeless, so p is the largest double below 1.
+    code, out, err = run_cli(
+        capsys, ["analytic", "--rate", "2000", "--pt-dbm", "10", "--sigma2", "1", "--M", "2",
+                 "--es", "1", "--et", "1"],
+    )
+    assert (code, err) == (0, "")
+    (row,) = csv_rows(out)
+    assert float(row["p"]) == 1.0  # 1 - 2**-53 printed with 9 digits
+    assert all(math.isfinite(float(row[name])) for name in ("p", "avg_energy", "avg_aoi"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # dBm and SNR values whose watts or noise power are past the float range
+        ["analytic", "--rate", "2", "--pt-dbm", "4000", "--sigma2", "1", "--M", "2", "--es", "1", "--et", "1"],
+        ["analytic", "--rate", "2", "--pt-dbm", "10", "--snr-ref-db", "1e308", "--p-ref-dbm", "20",
+         "--M", "2", "--es", "1", "--et", "1"],
+        ["analytic", "--rate", "2", "--pt-dbm", "10", "--snr-ref-db", "-4000", "--p-ref-dbm", "20",
+         "--M", "2", "--es", "1", "--et", "1"],
+        # results that overflow to inf or nan
+        ["sweep", "m", "--p", "0.5", "--M", "1", "--es", "1e308", "--et", "1e308"],
+        ["sweep", "m", "--p", "0.5", "--M", "1", "--es", "1e308", "--et", "1e308", "--format", "json"],
+        ["sweep", "m", "--p", "0.5", "--M", "1", "--es", "1", "--et", "1", "--normalizer", "1e-308"],
+        ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--horizon", "2000",
+         "--format", "json"],
+    ],
+    ids=["pt-dbm", "snr-high", "snr-low", "es-et-csv", "es-et-json", "normalizer", "simulate-json"],
+)
+def test_out_of_range_values_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("aoilink: error:")
+
+
+def test_unemittable_result_leaves_no_trace_file(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(
+        capsys, ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0",
+                 "--horizon", "2000", "--trace", str(trace)],
+    )
+    assert (code, out) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("estimator", ["slot", "cycle"])
 def test_simulate_huge_max_tx_exits_0(capsys, estimator):
     code, out, err = run_cli(
@@ -614,6 +663,7 @@ POWER_GRID = ["--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "3", *POWER_LIN
 # drawn flag comes later, so it replaces a value of the argv.
 FUZZ_COMMANDS = [
     (["analytic", *P_POINT], POINT_FLAGS),
+    (["analytic", *SIGMA2_POINT], POINT_FLAGS),
     (["simulate", *P_POINT, "--horizon", "1000"],
      (*POINT_FLAGS, "--estimator", "--horizon", "--warmup", "--batches", "--seed", "--trace")),
     (["sweep", "m", "--p", "0.4", "--M", "1..3", *REF], ("--p", "--M", "--es", "--et", "--normalizer", "--pareto")),
@@ -629,12 +679,12 @@ FUZZ_COMMANDS = [
 FUZZ_VALUES = {
     "--p": ["0", "0.4", "0.999", "1", "-0.1", "nan", "0.1,0.7", "x"],
     "--M": ["1", "3", "1..3", "0", str(10**20), "3..1", "a"],
-    "--es": ["0", "4.02308", "-1", "nan", "inf"],
-    "--et": ["0", "4.02308", "-1", "nan", "inf"],
-    "--pt-dbm": ["20", "-10", "inf"],
-    "--rate": ["2", "0", "-1"],
+    "--es": ["0", "4.02308", "-1", "nan", "inf", "1e308"],
+    "--et": ["0", "4.02308", "-1", "nan", "inf", "1e308"],
+    "--pt-dbm": ["20", "-10", "inf", "4000"],
+    "--rate": ["2", "0", "-1", "2000"],
     "--sigma2": ["1e-5", "0"],
-    "--snr-ref-db": ["20", "-3"],
+    "--snr-ref-db": ["20", "-3", "1e308", "-4000"],
     "--p-ref-dbm": ["20", "-1e1"],
     "--pc": ["2.1", "-1"],
     "--eta": ["19.2308", "0"],
@@ -650,7 +700,7 @@ FUZZ_VALUES = {
     "--es-list": ["0,4.02308", "nan", ""],
     "--base": ["m", "power", "x"],
     "--tx-ref": ["1", "0", "-1"],
-    "--normalizer": ["2", "0", "nan"],
+    "--normalizer": ["2", "0", "nan", "1e-308"],
     "--slots": ["100", "10000", "0"],
     "--cycles": ["100", "10000", "0"],
     "--grid": ["default", "other"],
@@ -676,12 +726,15 @@ def fuzzed_argv(draw):
 @given(fuzzed_argv())
 def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     # Any argv from the flag vocabulary gives a documented exit code and no
-    # traceback (an uncaught exception fails the test), and leaves no .part file.
+    # traceback (an uncaught exception fails the test), prints no nan or inf
+    # on success, and leaves no .part file.
     monkeypatch.chdir(tmp_path)
     Path("m.json").write_text('{"M": 2}')
-    code, _, err = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower(), out
     assert not list(tmp_path.rglob("*.part"))
 
 

@@ -6,12 +6,13 @@ import pytest
 from conftest import cycles_from_rows, reference_trace
 from hypothesis import given
 from hypothesis import strategies as st
+from slot_replay import Replay, replay
 
 from aoilink.analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
 from aoilink.analytic import delivered_tx_count_pmf, sense_count_pmf
+from aoilink import simulator
 from aoilink.simulator import (
     SimConfig,
-    SlotMachine,
     age_trace,
     run_cycle_sim,
     run_slot_sim,
@@ -131,7 +132,7 @@ def test_single_tx_energy_is_deterministic():
     st.integers(min_value=1, max_value=5),
 )
 def test_machine_matches_reference(fails, max_tx):
-    events = SlotMachine(max_tx).replay(fails)
+    events = replay(fails, max_tx)
     rows, sensing_instants = reference_trace(fails, max_tx)
     assert [e.slot for e in events] == [r["slot"] for r in rows]
     assert [e.sensed for e in events] == [r["sensed"] for r in rows]
@@ -148,10 +149,10 @@ def test_machine_matches_reference(fails, max_tx):
     st.lists(st.integers(min_value=0, max_value=200), max_size=4),
 )
 def test_chunked_replay_matches_reference(fails, max_tx, cuts):
-    # One machine fed in chunks carries its state across every cut.
-    machine = SlotMachine(max_tx)
+    # One replay fed in chunks carries its state across every cut.
+    machine = Replay(max_tx)
     bounds = [0, *sorted(min(c, len(fails)) for c in cuts), len(fails)]
-    events = [e for a, b in zip(bounds, bounds[1:]) for e in machine.replay(fails[a:b])]
+    events = [e for a, b in zip(bounds, bounds[1:]) for e in machine(fails[a:b])]
     rows, _ = reference_trace(fails, max_tx)
     assert [
         (e.slot, e.sensed, e.tx_count, e.success, e.age_start, e.age_end) for e in events
@@ -190,7 +191,7 @@ def test_slot_sim_matches_machine_replay(p, max_tx):
 
     rng = np.random.default_rng(cfg.seed)
     fails = (rng.random(cfg.horizon_slots) < p).tolist()
-    events = SlotMachine(max_tx).replay(fails)
+    events = replay(fails, max_tx)
     kept = [e for e in events if e.slot >= cfg.warmup_slots]
     n = len(kept)
     age_integral = sum(e.age_start for e in kept) + 0.5 * n
@@ -290,13 +291,36 @@ def test_empirical_pmfs_match_analytic():
 
 def test_age_trace_invariants():
     cfg = make_config(p=0.5, max_tx=3, horizon=5000, warmup=100)
-    events = age_trace(cfg)
-    assert len(events) == 5000
-    for prev, cur in zip(events, events[1:]):
-        if cur.success:
-            assert 1 <= cur.age_end <= cfg.policy.max_tx
+    slot, age_end, success = (np.concatenate(col) for col in zip(*age_trace(cfg)))
+    assert len(slot) == 5000
+    assert slot.tolist() == list(range(5000))
+    for prev, cur, ok in zip(age_end.tolist(), age_end[1:].tolist(), success[1:].tolist()):
+        if ok:
+            assert 1 <= cur <= cfg.policy.max_tx
         else:
-            assert cur.age_end == prev.age_end + 1
+            assert cur == prev + 1
+
+
+def test_age_trace_yields_the_replay_chunk_by_chunk():
+    # Three draw chunks, the last of 3 slots; the state carries across both joints.
+    chunk = simulator._CHUNK
+    cfg = make_config(p=0.6, max_tx=4, horizon=2 * chunk + 3)
+    chunks = list(age_trace(cfg))
+    assert [len(slot) for slot, _, _ in chunks] == [chunk, chunk, 3]
+    fails = np.random.default_rng(cfg.seed).random(cfg.horizon_slots) < 0.6
+    events = replay(fails, cfg.policy.max_tx)
+    slot, age_end, success = (np.concatenate(col).tolist() for col in zip(*chunks))
+    assert slot == [e.slot for e in events]
+    assert age_end == [e.age_end for e in events]
+    assert success == [e.success for e in events]
+
+
+def test_age_trace_rejects_empty_trace_before_drawing(monkeypatch):
+    draws = []
+    monkeypatch.setattr(simulator, "_draws", lambda *args: draws.append(args) or iter(()))
+    with pytest.raises(ValueError, match="trace length must be >= 1, got 0"):
+        age_trace(make_config(), slots=0)
+    assert draws == []
 
 
 def test_write_age_trace_csv(tmp_path):
@@ -307,7 +331,8 @@ def test_write_age_trace_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["slot", "age", "reset"]
     assert len(rows) == 251
-    events = age_trace(cfg, slots=250)
+    fails = np.random.default_rng(cfg.seed).random(250) < 0.5
+    events = replay(fails, cfg.policy.max_tx)
     for row, ev in zip(rows[1:], events):
         assert row == [str(ev.slot), str(ev.age_end), str(int(ev.success))]
 

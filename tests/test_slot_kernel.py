@@ -23,7 +23,7 @@ from aoilink import simulator
 from aoilink.analytic import EnergyParams, FixedFailureLink, Policy
 from aoilink.simulator import (
     SimConfig,
-    _add_batch_sums,
+    _batch_cuts,
     _csv_rows,
     _run_sums,
     _slot_chunk,
@@ -212,18 +212,23 @@ def test_huge_max_tx_equals_unreachable_max_tx(runner):
     st.integers(min_value=1, max_value=40),
 )
 def test_chunked_batch_sums_match_whole_run_sums(n, warmup, batches, c):
-    # Adding a run chunk by chunk, c samples at a time, gives the sums of the
-    # batch windows and of the remainder.
+    # Cutting a run chunk by chunk, c samples at a time, and adding each piece
+    # to its batch gives the sums of the warmup, the batch windows and the remainder.
     warmup = min(warmup, n - 1)
     width = (n - warmup) // batches
     assume(width >= 1)
     x = np.arange(n) ** 2
-    got = [0] * (batches + 1)
+    got = [0] * (batches + 2)
     for first in range(0, n, c):
-        _add_batch_sums([got], [x[first : first + c]], first, warmup, width)
+        chunk = x[first : first + c]
+        b0, cuts = _batch_cuts(first, chunk.size, warmup, width, batches)
+        assert cuts[0] == 0 and cuts[-1] == chunk.size
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))  # no empty piece
+        for i, piece in enumerate(np.split(chunk, cuts[1:-1]), b0 + 1):
+            got[i] += int(piece.sum())
     kept = x[warmup:]
     want = [int(kept[b * width : (b + 1) * width].sum()) for b in range(batches)]
-    assert got == want + [int(kept[batches * width :].sum())]
+    assert got == [int(x[:warmup].sum())] + want + [int(kept[batches * width :].sum())]
 
 
 fail_strings = st.one_of(
