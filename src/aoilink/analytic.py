@@ -306,6 +306,12 @@ def sense_count_mean(p: float, max_tx: int) -> float:
     return 1.0 / comp
 
 
+def _age_and_rate(p: float, max_tx: int) -> tuple[float, float]:
+    """Average age and sensing rate per slot (energy: ``rate * Es + Et``), one pow_complement."""
+    pm, comp = pow_complement(p, max_tx)
+    return (3.0 + p) / (2.0 * (1.0 - p)) - max_tx * pm / comp, (1.0 - p) / comp
+
+
 def avg_aoi(p: float, max_tx: int) -> float:
     """Stationary average age-of-information in slots.
 
@@ -313,8 +319,7 @@ def avg_aoi(p: float, max_tx: int) -> float:
     divided by the mean cycle length collapses to
     ``(3 + p) / (2 (1 - p)) - max_tx * p**max_tx / (1 - p**max_tx)``.
     """
-    pm, comp = pow_complement(p, max_tx)
-    return (3.0 + p) / (2.0 * (1.0 - p)) - max_tx * pm / comp
+    return _age_and_rate(p, max_tx)[0]
 
 
 def avg_energy(p: float, max_tx: int, energy: EnergyParams) -> float:
@@ -323,8 +328,7 @@ def avg_energy(p: float, max_tx: int, energy: EnergyParams) -> float:
     Every slot pays the transmit energy; sensing is paid once per generated
     packet, i.e. at rate ``(1 - p) / (1 - p**max_tx)`` per slot.
     """
-    _, comp = pow_complement(p, max_tx)
-    return (1.0 - p) / comp * energy.sense_energy + energy.tx_energy
+    return _age_and_rate(p, max_tx)[1] * energy.sense_energy + energy.tx_energy
 
 
 def evaluate(
@@ -335,12 +339,5 @@ def evaluate(
 ) -> MetricPoint:
     """Evaluate one parameter combination into a MetricPoint."""
     p = failure_prob(link)
-    return MetricPoint(
-        p=p,
-        max_tx=max_tx,
-        avg_aoi=avg_aoi(p, max_tx),
-        avg_energy=avg_energy(p, max_tx, energy),
-        link=link,
-        energy=energy,
-        tx_power_dbm=tx_power_dbm,
-    )
+    age, rate = _age_and_rate(p, max_tx)
+    return MetricPoint(p, max_tx, age, rate * energy.sense_energy + energy.tx_energy, link, energy, tx_power_dbm)

@@ -114,7 +114,10 @@ def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, Any]]:
                     "avg_aoi": pt.avg_aoi,
                 }
             )
-    return _finite(rows)
+            # A sum of floats is finite only if each one is; one that overflows is rechecked.
+            if not math.isfinite(pt.p + pt.avg_energy + pt.avg_aoi + (pt.tx_power_dbm or 0.0)):
+                _finite(rows[-1:])
+    return rows
 
 
 def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
@@ -133,7 +136,10 @@ _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 
 def rows_to_json(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
     """The text of ``json.dumps(rows, indent=2) + "\\n"``, rows keyed by ``fields`` (nonempty)."""
-    text = _ROW_ENCODER.encode([{name: row.get(name) for name in fields} for row in rows])
+    fields = list(fields)
+    if any(type(row) is not dict or list(row) != fields for row in rows):
+        rows = [{name: row.get(name) for name in fields} for row in rows]
+    text = _ROW_ENCODER.encode(rows)
     # Raw newlines occur only in separators and no scalar ends in "}": a joint of two rows.
     joined = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
     return "[\n  {\n    " + joined + "\n  }\n]\n" if rows else "[]\n"

@@ -276,18 +276,20 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
         first += fails.size
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
-    aoi_means = (np.array(ages[1:-1], dtype=float) + 0.5 * width) / width
-    energy_means = et + es * np.array(senses[1:-1], dtype=float) / width
-    return SimResult(
-        avg_aoi_est=(sum(ages[1:]) + 0.5 * kept) / kept,
-        avg_energy_est=et + es * (sum(senses[1:]) / kept),
-        stderr_aoi=_batch_stderr(aoi_means),
-        stderr_energy=_batch_stderr(energy_means),
-        slots=n,
-        packets_generated=packets,
-        successes=successes,
-        seed=cfg.seed,
-    )
+    # An energy past the float range gives inf or nan, which the emitters reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        aoi_means = (np.array(ages[1:-1], dtype=float) + 0.5 * width) / width
+        energy_means = et + es * np.array(senses[1:-1], dtype=float) / width
+        return SimResult(
+            avg_aoi_est=(sum(ages[1:]) + 0.5 * kept) / kept,
+            avg_energy_est=et + es * (sum(senses[1:]) / kept),
+            stderr_aoi=_batch_stderr(aoi_means),
+            stderr_energy=_batch_stderr(energy_means),
+            slots=n,
+            packets_generated=packets,
+            successes=successes,
+            seed=cfg.seed,
+        )
 
 
 def _cycle_chunks(link: LinkSpec, policy: Policy, seed: int, n: int):
@@ -351,16 +353,17 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
     total_len, total_area, total_sense = sums[:, 1:].sum(axis=1)
     blen, barea, bsense = sums[:, 1:-1]
-    return SimResult(
-        avg_aoi_est=float(total_area / total_len),
-        avg_energy_est=float(es * total_sense / total_len + et),
-        stderr_aoi=_batch_stderr(barea / blen),
-        stderr_energy=_batch_stderr(es * bsense / blen + et),
-        slots=slots,
-        packets_generated=packets,
-        successes=cfg.horizon_slots,
-        seed=cfg.seed,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_slot_sim
+        return SimResult(
+            avg_aoi_est=float(total_area / total_len),
+            avg_energy_est=float(es * total_sense / total_len + et),
+            stderr_aoi=_batch_stderr(barea / blen),
+            stderr_energy=_batch_stderr(es * bsense / blen + et),
+            slots=slots,
+            packets_generated=packets,
+            successes=cfg.horizon_slots,
+            seed=cfg.seed,
+        )
 
 
 def age_trace(

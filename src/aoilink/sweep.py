@@ -3,19 +3,19 @@
 Three sweep kinds cover the usual experiments: retransmission-limit sweeps
 at fixed failure probabilities, transmit-power sweeps under a Rayleigh link
 budget (failure probability and transmit energy both follow the power), and
-sensing-energy sweeps that rerun either base sweep per sensing energy and
-normalize each curve for comparison.
+sensing-energy sweeps that evaluate either base sweep once and rescale its
+energies per sensing energy (the bytes of a base sweep rerun per sensing
+energy), normalizing each curve for comparison.
 
 Sweeps evaluate the closed forms, not the simulator, so every point is
-exact and reproducible standalone. Point evaluations are independent; they
-are computed sequentially here to keep output ordering deterministic, but
-callers may parallelize over points freely.
+exact and reproducible standalone. Each point's closed forms run once, and
+a power sweep builds each dBm point's link and transmit energy once for all M.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .analytic import (
@@ -24,12 +24,14 @@ from .analytic import (
     MetricPoint,
     PowerModel,
     RayleighLink,
+    _age_and_rate,
     _check_max_tx,
     _check_nonnegative,
     _check_p,
     _check_positive,
     dbm_to_watts,
-    evaluate,
+    evaluate,  # noqa: F401  (kept as ``sweep.evaluate``: perfbench's tracer wraps it)
+    failure_prob,
     noise_from_reference_snr,
     transmit_energy,
 )
@@ -127,7 +129,7 @@ class PowerSweep:
 
 @dataclass(frozen=True)
 class EsSweep:
-    """Rerun a base sweep per sensing energy, normalizing each curve.
+    """A base sweep's curves per sensing energy, each normalized.
 
     Each produced curve is normalized by ``sense_energy + tx_ref`` where
     ``tx_ref`` is the transmit-side reference energy: this sweep's
@@ -188,53 +190,68 @@ def dbm_grid(dbm_min: float, dbm_max: float, dbm_step: float) -> list[float]:
     return [dbm_min + i * dbm_step for i in range(count)]
 
 
+def _m_grid(spec: MSweep):
+    """Cells ``(p, link, energy, dBm)``, one per p, and per curve its label and
+    ``(cell index, M, age, sensing rate)`` rows."""
+    cells = [(p, FixedFailureLink(p), spec.energy, None) for p in spec.p_list]
+    ms = sorted(spec.max_tx_list)
+    return cells, [(f"p={p:g}", [(j, m, *_age_and_rate(p, m)) for m in ms]) for j, p in enumerate(spec.p_list)]
+
+
+def _power_grid(spec: PowerSweep):
+    """As :func:`_m_grid`, with one cell per dBm point and one curve per M."""
+    noise = noise_from_reference_snr(dbm_to_watts(spec.ref_power_dbm), spec.snr_ref_db)
+    cells = []
+    for dbm in dbm_grid(spec.dbm_min, spec.dbm_max, spec.dbm_step):
+        pt_watts = dbm_to_watts(dbm)
+        pm = PowerModel(spec.circuit_power, spec.inv_drain_eff, pt_watts, spec.max_power)
+        energy = EnergyParams(spec.sense_energy, transmit_energy(pm))
+        link = RayleighLink(spec.rate, noise, pt_watts)
+        cells.append((failure_prob(link), link, energy, dbm))
+    ms = sorted(spec.max_tx_list)
+    return cells, [(f"M={m}", [(j, m, *_age_and_rate(c[0], m)) for j, c in enumerate(cells)]) for m in ms]
+
+
+def _curves(grid, sense_energy=None, divisor=1.0, prefix="", suffix="") -> list[TradeoffCurve]:
+    """A grid's curves, with each cell's sensing energy replaced by ``sense_energy``
+    when given and every average energy divided by ``divisor`` (exact for 1.0)."""
+    cells, curves = grid
+    if sense_energy is not None:
+        cells = [(p, link, EnergyParams(sense_energy, e.tx_energy), dbm) for p, link, e, dbm in cells]
+    out = []
+    for label, rows in curves:
+        points = []
+        for j, m, age, rate in rows:
+            p, link, e, dbm = cells[j]
+            points.append(MetricPoint(p, m, age, (rate * e.sense_energy + e.tx_energy) / divisor, link, e, dbm))
+        out.append(TradeoffCurve(prefix + label + suffix, tuple(points), divisor))
+    return out
+
+
 def m_sweep(spec: MSweep) -> list[TradeoffCurve]:
     """One curve per failure probability, retransmission limit ascending."""
-    curves = []
-    for p in spec.p_list:
-        link = FixedFailureLink(p)
-        points = tuple(evaluate(link, m, spec.energy) for m in sorted(spec.max_tx_list))
-        curves.append(TradeoffCurve(label=f"p={p:g}", points=points))
-    return curves
+    return _curves(_m_grid(spec))
 
 
 def power_sweep(spec: PowerSweep) -> list[TradeoffCurve]:
     """One curve per retransmission limit, transmit power ascending."""
-    noise = noise_from_reference_snr(dbm_to_watts(spec.ref_power_dbm), spec.snr_ref_db)
-    grid = dbm_grid(spec.dbm_min, spec.dbm_max, spec.dbm_step)
-    curves = []
-    for m in sorted(spec.max_tx_list):
-        points = []
-        for dbm in grid:
-            pt_watts = dbm_to_watts(dbm)
-            pm = PowerModel(spec.circuit_power, spec.inv_drain_eff, pt_watts, spec.max_power)
-            energy = EnergyParams(spec.sense_energy, transmit_energy(pm))
-            link = RayleighLink(spec.rate, noise, pt_watts)
-            points.append(evaluate(link, m, energy, tx_power_dbm=dbm))
-        curves.append(TradeoffCurve(label=f"M={m}", points=tuple(points)))
-    return curves
-
-
-def _tx_reference(base: MSweep | PowerSweep) -> float:
-    if isinstance(base, MSweep):
-        return base.energy.tx_energy
-    return base.circuit_power + base.inv_drain_eff * base.max_power
+    return _curves(_power_grid(spec))
 
 
 def es_sweep(spec: EsSweep) -> list[TradeoffCurve]:
-    """Base-sweep curves per sensing energy, each normalized by Es + tx_ref."""
-    tx_ref = spec.normalizer if spec.normalizer is not None else _tx_reference(spec.base)
+    """Base-sweep curves per sensing energy, each normalized by Es + tx_ref.
+
+    One base grid gives every curve: a point's energy is ``(rate * Es + Et) / (Es + tx_ref)``.
+    """
+    base, m_base, tx_ref = spec.base, isinstance(spec.base, MSweep), spec.normalizer
+    if tx_ref is None:  # the base's transmit energy, or its energy per slot at full power
+        tx_ref = base.energy.tx_energy if m_base else base.circuit_power + base.inv_drain_eff * base.max_power
+    grid = (_m_grid if m_base else _power_grid)(base)
     out = []
     for es in spec.es_list:
-        if isinstance(spec.base, MSweep):
-            base = replace(spec.base, energy=EnergyParams(es, spec.base.energy.tx_energy))
-            curves = m_sweep(base)
-        else:
-            base = replace(spec.base, sense_energy=es)
-            curves = power_sweep(base)
-        for curve in curves:
-            labeled = replace(curve, label=f"Es={es:g} {curve.label}")
-            out.append(normalize_curve(labeled, es + tx_ref))
+        normalizer = es + tx_ref
+        _check_positive("normalizer", normalizer)
+        out += _curves(grid, es, normalizer, f"Es={es:g} ", f" (energy/{normalizer:.9g})")
     return out
 
 
@@ -246,13 +263,10 @@ def normalize_curve(curve: TradeoffCurve, normalizer: float) -> TradeoffCurve:
     """
     _check_positive("normalizer", normalizer)
     points = tuple(
-        replace(pt, avg_energy=pt.avg_energy / normalizer) for pt in curve.points
+        MetricPoint(pt.p, pt.max_tx, pt.avg_aoi, pt.avg_energy / normalizer, pt.link, pt.energy, pt.tx_power_dbm)
+        for pt in curve.points
     )
-    return TradeoffCurve(
-        label=f"{curve.label} (energy/{normalizer:.9g})",
-        points=points,
-        normalizer=curve.normalizer * normalizer,
-    )
+    return TradeoffCurve(f"{curve.label} (energy/{normalizer:.9g})", points, curve.normalizer * normalizer)
 
 
 def pareto_front(points: Iterable[MetricPoint] | Sequence[MetricPoint]) -> list[MetricPoint]:

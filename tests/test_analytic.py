@@ -292,6 +292,38 @@ def test_delivered_tx_count_mean_property(p, max_tx):
     assert_delivered_mean_accurate(p, max_tx)
 
 
+EXTREME_M = [1, 2, 6, 1000, 10**6, 10**9]
+
+
+@pytest.mark.parametrize("p", [0.0] + EXTREME_P)
+@pytest.mark.parametrize("max_tx", EXTREME_M)
+def test_closed_forms_against_mpmath(p, max_tx):
+    # Each closed form against its defining formula at 60 digits, at the float p.
+    energies = [EnergyParams(4.02308, 1.5), EnergyParams(1.0, 0.0)]
+    pm, comp = pow_complement(p, max_tx)
+    with mp.workdps(60):
+        x = mp.mpf(p)
+        exact_pm = x**max_tx
+        exact_comp = 1 - exact_pm
+        exact_aoi = (3 + x) / (2 * (1 - x)) - max_tx * exact_pm / exact_comp
+        exact_rate = (1 - x) / exact_comp
+
+        def rel(value, exact):
+            return abs(value - exact) / exact
+
+        assert rel(comp, exact_comp) <= 4e-15
+        if exact_pm > mp.mpf("1e-300"):
+            # exp(M log p) carries log p's rounding times M |log p|.
+            assert rel(pm, exact_pm) <= 4e-15 * (1 + max_tx * abs(mp.log(x)))
+        else:
+            assert pm <= 1e-300
+        assert rel(avg_aoi(p, max_tx), exact_aoi) <= 4e-15
+        assert rel(sense_count_mean(p, max_tx), 1 / exact_comp) <= 4e-15
+        for energy in energies:
+            exact_energy = exact_rate * mp.mpf(energy.sense_energy) + mp.mpf(energy.tx_energy)
+            assert rel(avg_energy(p, max_tx, energy), exact_energy) <= 4e-15
+
+
 def test_delivered_tx_count_mean_rejects_bad_input():
     with pytest.raises(ValueError):
         delivered_tx_count_mean(1.0, 3)

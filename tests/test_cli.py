@@ -399,6 +399,29 @@ def test_unemittable_result_leaves_no_trace_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--horizon", "2000"],
+        ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--horizon", "2000",
+         "--estimator", "cycle"],
+        ["validate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--slots", "2000"],
+    ],
+    ids=["slot", "cycle", "validate"],
+)
+def test_energy_past_float_range_prints_only_the_error_line(argv):
+    # In a fresh interpreter with default warning filters, so that a numpy
+    # RuntimeWarning would reach stderr.
+    src = str(Path(aoilink.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoilink", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aoilink: error:"), proc.stderr
+
+
 @pytest.mark.parametrize("estimator", ["slot", "cycle"])
 def test_simulate_huge_max_tx_exits_0(capsys, estimator):
     code, out, err = run_cli(
@@ -909,6 +932,8 @@ json_scalars = st.one_of(
 )
 @example([{"label": "Es=1 \u00b5J \u2206", "M": 2**64, "p": None}], CURVE_FIELDS)
 @example([], CURVE_FIELDS)
+@example([dict.fromkeys(CURVE_FIELDS, 0.1)], CURVE_FIELDS)  # keyed as emitted: not re-keyed
+@example([dict.fromkeys(CURVE_FIELDS, 2), dict.fromkeys(reversed(CURVE_FIELDS), 1.5)], CURVE_FIELDS)
 def test_rows_to_json_equals_indented_dumps(rows, fields):
     ordered = [{name: row.get(name) for name in fields} for row in rows]
     assert rows_to_json(rows, fields) == json.dumps(ordered, indent=2) + "\n"

@@ -9,9 +9,14 @@ from aoilink.analytic import (
     EnergyParams,
     FixedFailureLink,
     MetricPoint,
+    PowerModel,
+    RayleighLink,
     avg_aoi,
     avg_energy,
+    dbm_to_watts,
     evaluate,
+    noise_from_reference_snr,
+    transmit_energy,
 )
 from aoilink.sweep import (
     MAX_GRID_POINTS,
@@ -260,6 +265,118 @@ def test_es_sweep_rejects_bad_specs():
         EsSweep((-1.0,), base)
     with pytest.raises(ValueError):
         EsSweep((1.0,), base, normalizer=0.0)
+
+
+def rerun_es_sweep(spec):
+    """The Es sweep as first defined: the base sweep rerun per sensing energy,
+    each curve relabelled and normalized by Es + tx_ref."""
+    base = spec.base
+    if spec.normalizer is not None:
+        tx_ref = spec.normalizer
+    elif isinstance(base, MSweep):
+        tx_ref = base.energy.tx_energy
+    else:
+        tx_ref = base.circuit_power + base.inv_drain_eff * base.max_power
+    out = []
+    for es in spec.es_list:
+        if isinstance(base, MSweep):
+            curves = m_sweep(replace(base, energy=EnergyParams(es, base.energy.tx_energy)))
+        else:
+            curves = power_sweep(replace(base, sense_energy=es))
+        for curve in curves:
+            out.append(normalize_curve(replace(curve, label=f"Es={es:g} {curve.label}"), es + tx_ref))
+    return out
+
+
+def hexed(pt):
+    return (pt.p.hex(), pt.max_tx, pt.avg_aoi.hex(), pt.avg_energy.hex(), pt.tx_power_dbm)
+
+
+def assert_same_curves(got, want):
+    assert [(c.label, c.normalizer.hex(), len(c.points)) for c in got] == [
+        (c.label, c.normalizer.hex(), len(c.points)) for c in want
+    ]
+    for curve, expected in zip(got, want):
+        assert curve.points == expected.points
+        assert list(map(hexed, curve.points)) == list(map(hexed, expected.points))
+
+
+def assert_same_outcome(sweep, oracle, spec):
+    """Both give the same curves, or raise ValueError with the same message."""
+    try:
+        want = oracle(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            sweep(spec)
+        assert str(raised.value) == str(exc)
+        return
+    assert_same_curves(sweep(spec), want)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+energy_value = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3), st.just(1e308))
+max_tx_lists = st.lists(st.integers(min_value=1, max_value=10**9) | st.integers(1, 12), min_size=1, max_size=5)
+
+
+@st.composite
+def power_specs(draw, max_size=40):
+    dbm_min = draw(st.floats(min_value=-40.0, max_value=30.0))
+    step = draw(st.floats(min_value=0.05, max_value=10.0))
+    count = draw(st.integers(min_value=1, max_value=max_size))
+    return PowerSweep(
+        dbm_min=dbm_min,
+        dbm_max=dbm_min + (count - 1) * step,
+        dbm_step=step,
+        max_tx_list=tuple(draw(max_tx_lists)),
+        rate=draw(st.floats(min_value=0.0, max_value=12.0)),
+        snr_ref_db=draw(st.floats(min_value=-20.0, max_value=40.0)),
+        ref_power_dbm=draw(st.floats(min_value=-10.0, max_value=40.0)),
+        sense_energy=draw(energy_value),
+        circuit_power=draw(st.floats(min_value=0.0, max_value=10.0)),
+        inv_drain_eff=draw(st.floats(min_value=0.5, max_value=40.0)),
+        # Sometimes below the top of the grid, where PowerModel rejects the point.
+        max_power=dbm_to_watts(dbm_min + draw(st.floats(min_value=-5.0, max_value=400.0))),
+    )
+
+
+m_specs = st.builds(
+    MSweep,
+    st.lists(unit, min_size=1, max_size=6).map(tuple),
+    max_tx_lists.map(tuple),
+    st.builds(EnergyParams, energy_value, energy_value),
+)
+
+
+@given(
+    st.one_of(m_specs, power_specs()),
+    st.lists(energy_value, min_size=1, max_size=4),
+    st.one_of(st.none(), st.floats(min_value=1e-300, max_value=1e3), st.just(1e308)),
+)
+def test_es_sweep_matches_rerun_base_sweeps(base, es_list, normalizer):
+    assert_same_outcome(es_sweep, rerun_es_sweep, EsSweep(tuple(es_list), base, normalizer=normalizer))
+
+
+def per_point_power_sweep(spec):
+    """The power sweep as first defined: link, power model and energies built
+    and evaluated at every (M, dBm) point."""
+    noise = noise_from_reference_snr(dbm_to_watts(spec.ref_power_dbm), spec.snr_ref_db)
+    grid = dbm_grid(spec.dbm_min, spec.dbm_max, spec.dbm_step)
+    curves = []
+    for m in sorted(spec.max_tx_list):
+        points = []
+        for dbm in grid:
+            pt_watts = dbm_to_watts(dbm)
+            pm = PowerModel(spec.circuit_power, spec.inv_drain_eff, pt_watts, spec.max_power)
+            energy = EnergyParams(spec.sense_energy, transmit_energy(pm))
+            link = RayleighLink(spec.rate, noise, pt_watts)
+            points.append(evaluate(link, m, energy, tx_power_dbm=dbm))
+        curves.append(TradeoffCurve(label=f"M={m}", points=tuple(points)))
+    return curves
+
+
+@given(power_specs())
+def test_power_sweep_matches_evaluate_per_point(spec):
+    assert_same_outcome(power_sweep, per_point_power_sweep, spec)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
