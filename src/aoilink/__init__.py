@@ -12,41 +12,9 @@ first access (PEP 562), so closed-form callers never import it.
 
 import importlib
 
-from .analytic import (
-    EnergyParams,
-    FixedFailureLink,
-    LinkSpec,
-    MetricPoint,
-    Policy,
-    PowerModel,
-    RayleighLink,
-    avg_aoi,
-    avg_energy,
-    cycle_length_moments,
-    cycle_length_pmf,
-    dbm_to_watts,
-    delivered_tx_count_mean,
-    delivered_tx_count_pmf,
-    evaluate,
-    failure_prob,
-    noise_from_reference_snr,
-    pow_complement,
-    sense_count_mean,
-    sense_count_pmf,
-    transmit_energy,
-)
-from .sweep import (
-    EsSweep,
-    MSweep,
-    PowerSweep,
-    TradeoffCurve,
-    dbm_grid,
-    es_sweep,
-    m_sweep,
-    normalize_curve,
-    pareto_front,
-    power_sweep,
-)
+from . import analytic, sweep
+from .analytic import *  # noqa: F403  (the names in analytic.__all__)
+from .sweep import *  # noqa: F403  (the names in sweep.__all__)
 
 # Names whose home module imports numpy -> that module, loaded on first access.
 _LAZY = {
@@ -65,50 +33,7 @@ _LAZY = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EnergyParams",
-    "FixedFailureLink",
-    "LinkSpec",
-    "MetricPoint",
-    "Policy",
-    "PowerModel",
-    "RayleighLink",
-    "avg_aoi",
-    "avg_energy",
-    "cycle_length_moments",
-    "cycle_length_pmf",
-    "dbm_to_watts",
-    "delivered_tx_count_mean",
-    "delivered_tx_count_pmf",
-    "evaluate",
-    "failure_prob",
-    "noise_from_reference_snr",
-    "pow_complement",
-    "sense_count_mean",
-    "sense_count_pmf",
-    "transmit_energy",
-    "SimConfig",
-    "SimResult",
-    "age_trace",
-    "run_cycle_sim",
-    "run_slot_sim",
-    "sample_cycles",
-    "write_age_trace",
-    "EsSweep",
-    "MSweep",
-    "PowerSweep",
-    "TradeoffCurve",
-    "dbm_grid",
-    "es_sweep",
-    "m_sweep",
-    "normalize_curve",
-    "pareto_front",
-    "power_sweep",
-    "ValidationPoint",
-    "ValidationReport",
-    "build_report",
-    "within_tolerance",
-]
+__all__ = [*analytic.__all__, *sweep.__all__, *_LAZY]
 
 
 def __getattr__(name: str):

@@ -120,15 +120,13 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class MetricPoint:
-    """One (average energy, average age) evaluation with its provenance."""
+    """One (average energy, average age) evaluation of the closed forms."""
 
     p: float
     max_tx: int
     avg_aoi: float  # slots
     avg_energy: float  # joules per slot
-    link: LinkSpec
-    energy: EnergyParams
-    tx_power_dbm: float | None = None
+    tx_power_dbm: float | None = None  # known for a Rayleigh budget or a power sweep
 
 
 def failure_prob(link: LinkSpec) -> float:
@@ -340,4 +338,4 @@ def evaluate(
     """Evaluate one parameter combination into a MetricPoint."""
     p = failure_prob(link)
     age, rate = _age_and_rate(p, max_tx)
-    return MetricPoint(p, max_tx, age, rate * energy.sense_energy + energy.tx_energy, link, energy, tx_power_dbm)
+    return MetricPoint(p, max_tx, age, rate * energy.sense_energy + energy.tx_energy, tx_power_dbm)

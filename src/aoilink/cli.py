@@ -15,10 +15,9 @@ flags win. Exit codes: 0 success, 1 validation failure or I/O error, 2 bad
 configuration or usage.
 
 ``analytic`` and ``sweep`` run on the closed forms alone and never import
-numpy: the simulator-side names (``SimConfig``, ``run_slot_sim``,
-``run_cycle_sim``, ``write_age_trace``, ``build_report``) are bound as module
-attributes on first use, by ``simulate``/``validate`` or by an attribute
-lookup from outside.
+numpy: the package's numpy-side names (``SimConfig``, ``run_slot_sim``,
+``build_report``, ...) are bound as module attributes on first use, by
+``simulate``/``validate`` or by an attribute lookup from outside.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ from .output import (
     emit_result_json,
 )
 from .sweep import (
-    DEFAULT_MAX_TX_GRID,
-    DEFAULT_P_GRID,
     MAX_GRID_POINTS,
     EsSweep,
     MSweep,
@@ -69,9 +66,6 @@ from .sweep import (
 
 __all__ = ["main", "run", "build_parser"]
 
-# Simulator-side names: their home modules import numpy.
-_LAZY = ("SimConfig", "run_slot_sim", "run_cycle_sim", "write_age_trace", "build_report")
-
 
 def _bind(name: str):
     """The module attribute ``name``, taken from the package on first use.
@@ -85,7 +79,7 @@ def _bind(name: str):
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
+    if name in sys.modules[__package__]._LAZY:
         return _bind(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -157,6 +151,9 @@ _SHARED: dict[str, dict] = {
     "--seed": {"type": int, "help": "RNG seed"},
     "--batches": {"type": int, "help": "batch count for standard errors"},
 }
+# The grid ``validate`` checks along an axis whose flag is not given; not an
+# argparse default, so that a --p or --M given with --grid can be told apart.
+_VALIDATE_GRID = {"--p": "0.1,0.4,0.7", "--M": "1,3,6"}
 _BUDGET = ("--rate", "--snr-ref-db", "--p-ref-dbm", "--pc", "--eta", "--pmax-dbm")
 _POWER_GRID = ("--dbm-min", "--dbm-max", "--dbm-step", *_BUDGET)
 
@@ -224,15 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--grid", choices=["default"], help="named grid: the --p and --M defaults")
     _add(p_val, "--slots", "slot-estimator horizon", 1_000_000, type=int)
     p_val.add_argument("--cycles", type=int, help="cycle-estimator horizon (default: --slots)")
-    _add_shared(
-        p_val, "--p", "--M", "--seed", "--es", "--et", "--batches",
-        p=",".join(map(str, DEFAULT_P_GRID)),
-        M=",".join(map(str, DEFAULT_MAX_TX_GRID)),
-        seed=7,
-        es=4.02308,
-        et=4.02308,
-        batches=100,
-    )
+    for flag, values in _VALIDATE_GRID.items():
+        p_val.add_argument(flag, help=f"{_SHARED[flag]['help']} (default: {values})")
+    _add_shared(p_val, "--seed", "--es", "--et", "--batches", seed=7, es=4.02308, et=4.02308, batches=100)
 
     return parser
 
@@ -423,8 +414,10 @@ def _handle_sweep_es(args) -> tuple[int, str]:
 
 
 def _handle_validate(args) -> tuple[int, str]:
-    p_values = parse_float_list(args.p, "--p")
-    max_tx_values = parse_int_list(args.M, "--M")
+    if args.grid is not None:
+        _unused(args, tuple(_VALIDATE_GRID), "cannot be combined with --grid")
+    p_values = parse_float_list(_VALIDATE_GRID["--p"] if args.p is None else args.p, "--p")
+    max_tx_values = parse_int_list(_VALIDATE_GRID["--M"] if args.M is None else args.M, "--M")
     points = len(p_values) * len(max_tx_values)
     if points > MAX_GRID_POINTS:
         raise CliError(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")

@@ -155,19 +155,11 @@ def emit_json(curves: Sequence[TradeoffCurve]) -> str:
     return rows_to_json(curve_rows(curves))
 
 
-_CURVE_TYPES: dict[str, Any] = {
+# Emitted columns that parse as other than float; ``*_pass`` columns are booleans.
+_COLUMN_TYPES: dict[str, Any] = {
     "label": str,
-    "p": float,
     "M": int,
-    "pt_dbm": float,
-    "avg_energy": float,
-    "avg_energy_normalized": float,
-    "avg_aoi": float,
     "estimator": str,
-    "avg_aoi_est": float,
-    "stderr_aoi": float,
-    "avg_energy_est": float,
-    "stderr_energy": float,
     "slots": int,
     "packets_generated": int,
     "successes": int,
@@ -180,8 +172,7 @@ def _typed(name: str, text: str) -> Any:
         return None
     if name.endswith("_pass"):
         return text == "true"
-    caster = _CURVE_TYPES.get(name, float)
-    return caster(text)
+    return _COLUMN_TYPES.get(name, float)(text)
 
 
 def parse_csv(text: str) -> list[dict[str, Any]]:

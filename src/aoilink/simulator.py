@@ -19,8 +19,7 @@ batch edges for both estimators. The slot estimator reduces each chunk per
 run of channel outcomes (:func:`_run_sums`), in exact integer sums equal to
 those of the per-slot kernel :func:`_slot_chunk`. That kernel is the only
 per-slot replay: :func:`age_trace` yields its rows chunk by chunk, and
-:func:`write_age_trace` renders them as bytes (:func:`_csv_rows`). Draws,
-results and trace bytes are those of the per-slot code these replaced. Near
+:func:`write_age_trace` renders them as bytes (:func:`_csv_rows`). Near
 ``p = 1`` the cycle sums pass 2**52 and round, so their last bits depend on
 the order of summation; the counters are exact integers.
 

@@ -4,8 +4,7 @@ Three sweep kinds cover the usual experiments: retransmission-limit sweeps
 at fixed failure probabilities, transmit-power sweeps under a Rayleigh link
 budget (failure probability and transmit energy both follow the power), and
 sensing-energy sweeps that evaluate either base sweep once and rescale its
-energies per sensing energy (the bytes of a base sweep rerun per sensing
-energy), normalizing each curve for comparison.
+energies per sensing energy, normalizing each curve for comparison.
 
 Sweeps evaluate the closed forms, not the simulator, so every point is
 exact and reproducible standalone. Each point's closed forms run once, and
@@ -20,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .analytic import (
     EnergyParams,
-    FixedFailureLink,
     MetricPoint,
     PowerModel,
     RayleighLink,
@@ -53,10 +51,8 @@ __all__ = [
 # may expand; checked before allocating.
 MAX_GRID_POINTS = 1_000_000
 
-# The grid ``validate`` checks by default; kept here, free of numpy, so the
-# CLI can build its parser without importing the simulator.
-DEFAULT_P_GRID = (0.1, 0.4, 0.7)
-DEFAULT_MAX_TX_GRID = (1, 3, 6)
+# The label suffix of a curve whose energies were divided by a normalizer.
+_DIVIDED_BY = " (energy/{:.9g})"
 
 
 def _check_size(points: int) -> None:
@@ -191,9 +187,9 @@ def dbm_grid(dbm_min: float, dbm_max: float, dbm_step: float) -> list[float]:
 
 
 def _m_grid(spec: MSweep):
-    """Cells ``(p, link, energy, dBm)``, one per p, and per curve its label and
-    ``(cell index, M, age, sensing rate)`` rows."""
-    cells = [(p, FixedFailureLink(p), spec.energy, None) for p in spec.p_list]
+    """Cells ``(p, transmit energy, dBm)``, one per p, and per curve its label
+    and ``(cell index, M, age, sensing rate)`` rows."""
+    cells = [(p, spec.energy.tx_energy, None) for p in spec.p_list]
     ms = sorted(spec.max_tx_list)
     return cells, [(f"p={p:g}", [(j, m, *_age_and_rate(p, m)) for m in ms]) for j, p in enumerate(spec.p_list)]
 
@@ -205,37 +201,34 @@ def _power_grid(spec: PowerSweep):
     for dbm in dbm_grid(spec.dbm_min, spec.dbm_max, spec.dbm_step):
         pt_watts = dbm_to_watts(dbm)
         pm = PowerModel(spec.circuit_power, spec.inv_drain_eff, pt_watts, spec.max_power)
-        energy = EnergyParams(spec.sense_energy, transmit_energy(pm))
-        link = RayleighLink(spec.rate, noise, pt_watts)
-        cells.append((failure_prob(link), link, energy, dbm))
+        energy = EnergyParams(spec.sense_energy, transmit_energy(pm))  # checks the transmit energy
+        cells.append((failure_prob(RayleighLink(spec.rate, noise, pt_watts)), energy.tx_energy, dbm))
     ms = sorted(spec.max_tx_list)
     return cells, [(f"M={m}", [(j, m, *_age_and_rate(c[0], m)) for j, c in enumerate(cells)]) for m in ms]
 
 
-def _curves(grid, sense_energy=None, divisor=1.0, prefix="", suffix="") -> list[TradeoffCurve]:
-    """A grid's curves, with each cell's sensing energy replaced by ``sense_energy``
-    when given and every average energy divided by ``divisor`` (exact for 1.0)."""
+def _curves(grid, sense_energy: float, divisor=1.0, prefix="", suffix="") -> list[TradeoffCurve]:
+    """A grid's curves at sensing energy ``sense_energy``, every average energy
+    divided by ``divisor`` (exact for 1.0)."""
     cells, curves = grid
-    if sense_energy is not None:
-        cells = [(p, link, EnergyParams(sense_energy, e.tx_energy), dbm) for p, link, e, dbm in cells]
     out = []
     for label, rows in curves:
         points = []
         for j, m, age, rate in rows:
-            p, link, e, dbm = cells[j]
-            points.append(MetricPoint(p, m, age, (rate * e.sense_energy + e.tx_energy) / divisor, link, e, dbm))
+            p, tx_energy, dbm = cells[j]
+            points.append(MetricPoint(p, m, age, (rate * sense_energy + tx_energy) / divisor, dbm))
         out.append(TradeoffCurve(prefix + label + suffix, tuple(points), divisor))
     return out
 
 
 def m_sweep(spec: MSweep) -> list[TradeoffCurve]:
     """One curve per failure probability, retransmission limit ascending."""
-    return _curves(_m_grid(spec))
+    return _curves(_m_grid(spec), spec.energy.sense_energy)
 
 
 def power_sweep(spec: PowerSweep) -> list[TradeoffCurve]:
     """One curve per retransmission limit, transmit power ascending."""
-    return _curves(_power_grid(spec))
+    return _curves(_power_grid(spec), spec.sense_energy)
 
 
 def es_sweep(spec: EsSweep) -> list[TradeoffCurve]:
@@ -251,7 +244,7 @@ def es_sweep(spec: EsSweep) -> list[TradeoffCurve]:
     for es in spec.es_list:
         normalizer = es + tx_ref
         _check_positive("normalizer", normalizer)
-        out += _curves(grid, es, normalizer, f"Es={es:g} ", f" (energy/{normalizer:.9g})")
+        out += _curves(grid, es, normalizer, f"Es={es:g} ", _DIVIDED_BY.format(normalizer))
     return out
 
 
@@ -263,10 +256,10 @@ def normalize_curve(curve: TradeoffCurve, normalizer: float) -> TradeoffCurve:
     """
     _check_positive("normalizer", normalizer)
     points = tuple(
-        MetricPoint(pt.p, pt.max_tx, pt.avg_aoi, pt.avg_energy / normalizer, pt.link, pt.energy, pt.tx_power_dbm)
+        MetricPoint(pt.p, pt.max_tx, pt.avg_aoi, pt.avg_energy / normalizer, pt.tx_power_dbm)
         for pt in curve.points
     )
-    return TradeoffCurve(f"{curve.label} (energy/{normalizer:.9g})", points, curve.normalizer * normalizer)
+    return TradeoffCurve(curve.label + _DIVIDED_BY.format(normalizer), points, curve.normalizer * normalizer)
 
 
 def pareto_front(points: Iterable[MetricPoint] | Sequence[MetricPoint]) -> list[MetricPoint]:

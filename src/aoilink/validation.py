@@ -11,15 +11,12 @@ from typing import Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
 from .simulator import SimConfig, SimResult, _check_seed, run_cycle_sim, run_slot_sim
-from .sweep import DEFAULT_MAX_TX_GRID, DEFAULT_P_GRID
 
 __all__ = [
     "ValidationPoint",
     "ValidationReport",
     "within_tolerance",
     "build_report",
-    "DEFAULT_P_GRID",
-    "DEFAULT_MAX_TX_GRID",
 ]
 
 STDERR_MULTIPLE = 3.0

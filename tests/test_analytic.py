@@ -172,7 +172,6 @@ def test_evaluate_packs_provenance():
     assert point.max_tx == 6
     assert point.avg_aoi == avg_aoi(0.4, 6)
     assert point.avg_energy == avg_energy(0.4, 6, e)
-    assert point.link is link and point.energy is e
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,38 @@ def test_sweep_es_rejects_the_other_bases_flags(capsys, base, extra, flag):
     assert err == f"aoilink: error: {flag} is not used with {base[0]} {base[1]}\n"
 
 
+# validate's built-in grid is the second form of --p and --M: given as a flag
+# or a config key, either one is rejected with --grid (an empty --p is given).
+@pytest.mark.parametrize(
+    "extra, config, flag",
+    [
+        (["--grid", "default", "--p", "0.5"], None, "--p"),
+        (["--grid", "default", "--M", "2"], None, "--M"),
+        (["--grid", "default", "--p", "0.5", "--M", "2"], None, "--p"),
+        (["--grid", "default", "--p", ""], None, "--p"),
+        (["--grid", "default"], {"p": [0.5]}, "--p"),
+        (["--M", "2"], {"grid": "default"}, "--M"),
+    ],
+)
+def test_validate_grid_rejects_p_and_m(capsys, tmp_path, extra, config, flag):
+    argv = ["validate", "--slots", "2000"]
+    if config is not None:
+        (tmp_path / "grid.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "grid.json")]
+    assert run_cli(capsys, [*argv, *extra]) == (2, "", f"aoilink: error: {flag} cannot be combined with --grid\n")
+
+
+def test_validate_without_grid_flags_runs_the_built_in_grid(capsys):
+    argv = ["validate", "--slots", "2000", "--seed", "3"]
+    code, out, err = run_cli(capsys, [*argv, "--grid", "default"])
+    assert code in (0, 1) and err == ""
+    assert [(row["p"], row["M"]) for row in csv_rows(out)] == [(p, m) for p in ("0.1", "0.4", "0.7") for m in "136"]
+    assert run_cli(capsys, argv) == (code, out, err)
+    assert run_cli(capsys, [*argv, "--p", ""]) == (2, "", "aoilink: error: --p: expected a comma-separated list of numbers\n")
+    help_text = " ".join(run_cli(capsys, ["validate", "--help"])[1].split())  # unwrapped
+    assert "(default: 0.1,0.4,0.7)" in help_text and "(default: 1,3,6)" in help_text
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_validate_seed_out_of_range_exits_2(capsys, seed):
     # The base seed is checked like simulate's, not wrapped into range.
@@ -788,6 +820,19 @@ CLOSED_FORM_CALLS = [
 ]
 
 
+# The package's public names; removing one is an API change.
+PUBLIC_NAMES = {
+    "EnergyParams", "EsSweep", "FixedFailureLink", "LinkSpec", "MSweep", "MetricPoint", "Policy",
+    "PowerModel", "PowerSweep", "RayleighLink", "SimConfig", "SimResult", "TradeoffCurve",
+    "ValidationPoint", "ValidationReport", "age_trace", "avg_aoi", "avg_energy", "build_report",
+    "cycle_length_moments", "cycle_length_pmf", "dbm_grid", "dbm_to_watts", "delivered_tx_count_mean",
+    "delivered_tx_count_pmf", "es_sweep", "evaluate", "failure_prob", "m_sweep",
+    "noise_from_reference_snr", "normalize_curve", "pareto_front", "pow_complement", "power_sweep",
+    "run_cycle_sim", "run_slot_sim", "sample_cycles", "sense_count_mean", "sense_count_pmf",
+    "transmit_energy", "within_tolerance", "write_age_trace",
+}
+
+
 def test_closed_form_path_does_not_import_numpy():
     seen = run_fresh(f"""
 import contextlib, io, json, sys
@@ -802,9 +847,11 @@ for argv in {CLOSED_FORM_CALLS!r}:
     steps[" ".join(argv[:2])] = "numpy" in sys.modules
 listed = set(aoilink.__all__) <= set(dir(aoilink))
 steps["dir(aoilink)"] = "numpy" in sys.modules
-print(json.dumps({{"listed": listed, "numpy_after": steps}}))
+print(json.dumps({{"listed": listed, "all": aoilink.__all__, "numpy_after": steps}}))
 """)
     assert seen["listed"] is True
+    assert len(seen["all"]) == len(set(seen["all"]))
+    assert set(seen["all"]) == PUBLIC_NAMES
     steps = seen["numpy_after"]
     assert len(steps) == 2 + len(CLOSED_FORM_CALLS) + 1
     assert not any(steps.values()), steps

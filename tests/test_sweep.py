@@ -53,10 +53,7 @@ def ref_power_spec(max_tx_list=(6,), dbm_min=2.0, dbm_max=20.0, dbm_step=3.0):
 
 
 def point(energy, aoi):
-    return MetricPoint(
-        p=0.5, max_tx=1, avg_aoi=aoi, avg_energy=energy,
-        link=FixedFailureLink(0.5), energy=REF_ENERGY,
-    )
+    return MetricPoint(p=0.5, max_tx=1, avg_aoi=aoi, avg_energy=energy)
 
 
 # ---------------------------------------------------------------------------
