@@ -101,7 +101,7 @@ def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, Any]]:
     """
     rows = []
     for curve in curves:
-        normalized = curve.normalizer != 1.0
+        normalized = curve.normalizer is not None
         for pt in curve.points:
             rows.append(
                 {

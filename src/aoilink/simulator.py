@@ -15,13 +15,12 @@ Both estimators draw and reduce in chunks of ``_CHUNK`` (65,536), so memory
 is flat in the horizon, and PCG64 yields the same stream whether drawn at
 once or in chunks, so identical configs give bit-identical results on one
 build. One helper (:func:`_batch_cuts`) cuts each chunk at the warmup and
-batch edges for both estimators. The slot estimator reduces each chunk per
-run of channel outcomes (:func:`_run_sums`), in exact integer sums equal to
-those of the per-slot kernel :func:`_slot_chunk`. That kernel is the only
-per-slot replay: :func:`age_trace` yields its rows chunk by chunk, and
-:func:`write_age_trace` renders them as bytes (:func:`_csv_rows`). Near
-``p = 1`` the cycle sums pass 2**52 and round, so their last bits depend on
-the order of summation; the counters are exact integers.
+batch edges for both estimators, and both sum each piece into per-batch rows
+of exact integers, so no result depends on the chunking. The slot estimator
+reduces each chunk per run of channel outcomes (:func:`_run_sums`), in sums
+equal to those of the per-slot kernel :func:`_slot_chunk`. That kernel is the
+only per-slot replay: :func:`age_trace` yields its rows chunk by chunk, and
+:func:`write_age_trace` renders them as bytes (:func:`_csv_rows`).
 
 Timing convention: sensing happens instantly at slot start, the ACK/NACK is
 revealed at slot end, and on a success the age resets at slot end to the
@@ -260,18 +259,16 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
     n, warmup, batches = cfg.horizon_slots, cfg.warmup_slots, cfg.batches
     kept = n - warmup
     width = kept // batches
-    k = last = first = packets = successes = 0
-    # Exact integer sums of slot-start ages and of sensing events over the
-    # warmup, each batch, and the remainder past the last full batch.
-    ages, senses = [0] * (batches + 2), [0] * (batches + 2)
+    k = last = first = 0
+    # Exact integer sums of slot-start ages, sensing events and deliveries
+    # over the warmup, each batch, and the remainder past the last full batch.
+    ages, senses, deliveries = rows = [[0] * (batches + 2) for _ in range(3)]
     for fails in _draws(cfg.link, cfg.seed, n):
         b0, cuts = _batch_cuts(first, fails.size, warmup, width, batches)
-        piece_ages, piece_senses, piece_deliveries, k, last = _run_sums(fails, cfg.policy.max_tx, k, last, cuts)
-        for i, (age, sensed) in enumerate(zip(piece_ages, piece_senses), b0 + 1):
-            ages[i] += age
-            senses[i] += sensed
-        packets += sum(piece_senses)
-        successes += sum(piece_deliveries)
+        *pieces, k, last = _run_sums(fails, cfg.policy.max_tx, k, last, cuts)
+        for row, piece in zip(rows, pieces):
+            for i, x in enumerate(piece, b0 + 1):
+                row[i] += x
         first += fails.size
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
@@ -285,8 +282,8 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
             stderr_aoi=_batch_stderr(aoi_means),
             stderr_energy=_batch_stderr(energy_means),
             slots=n,
-            packets_generated=packets,
-            successes=successes,
+            packets_generated=sum(senses),
+            successes=sum(deliveries),
             seed=cfg.seed,
         )
 
@@ -324,42 +321,43 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
 
     ``horizon_slots`` counts cycles here and ``warmup_slots`` leading cycles
     to discard (at least 1, so the previous cycle's delivered-packet age is
-    defined). Each cycle contributes the trapezoid area
-    ``(prev_delivered + y/2) * y`` to the age numerator and its sensing count
-    times the sensing energy to the energy numerator; both are divided by
-    the total slots covered.
+    defined). A cycle of ``y`` slots adds the trapezoid area
+    ``(prev_delivered + y/2) * y`` (summed doubled, in integers) to the age
+    numerator and its sensing count times the sensing energy to the energy
+    numerator; both are divided by the total slots covered.
     """
     if cfg.warmup_slots < 1:
         raise ValueError("cycle estimator needs warmup >= 1 cycle")
     warmup, batches = cfg.warmup_slots, cfg.batches
     width = (cfg.horizon_slots - warmup) // batches
-    # Slots, age area and sensing count over the warmup, each batch, and the remainder.
-    sums = np.zeros((3, batches + 2))
-    slots = packets = first = prev = 0  # prev: delivered tx count of the cycle before the chunk
+    # Exact sums of cycle lengths, twice the age areas and sensing counts, as in run_slot_sim.
+    lens, areas2, senses = rows = [[0] * (batches + 2) for _ in range(3)]
+    first = prev = 0  # prev: delivered tx count of the cycle before the chunk
     for lengths, delivered, sensed in _cycle_chunks(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots):
         b0, cuts = _batch_cuts(first, lengths.size, warmup, width, batches)
-        ylen = lengths.astype(float)
-        areas = (np.concatenate(([prev], delivered[:-1])) + ylen / 2.0) * ylen
-        pieces = slice(b0 + 1, b0 + len(cuts))
-        for row, x in zip(sums, (ylen, areas, sensed)):
-            row[pieces] += np.add.reduceat(x, cuts[:-1], dtype=float)
-        wraps = int(lengths.max()) >= 2**63 // lengths.size  # int64 sums could wrap (p near 1)
-        slots += sum(lengths.tolist()) if wraps else int(lengths.sum())
-        packets += sum(sensed.tolist()) if wraps else int(sensed.sum())
+        prev_delivered = np.concatenate(([prev], delivered[:-1]))
+        top = max(int(lengths.max()), prev)  # bounds every length and delivered count
+        if 3 * top * top * lengths.size >= 2**63:  # int64 sums could wrap (p near 1)
+            lengths, prev_delivered, sensed = (x.astype(object) for x in (lengths, prev_delivered, sensed))
+        twice_areas = lengths * (2 * prev_delivered + lengths)  # each at most 3 * top**2
+        pieces = (np.add.reduceat(x, cuts[:-1]).tolist() for x in (lengths, twice_areas, sensed))
+        for row, piece in zip(rows, pieces):
+            for i, x in enumerate(piece, b0 + 1):
+                row[i] += x
         prev = int(delivered[-1])
         first += lengths.size
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
-    total_len, total_area, total_sense = sums[:, 1:].sum(axis=1)
-    blen, barea, bsense = sums[:, 1:-1]
+    aoi_means = np.array([a / (2 * n) for a, n in zip(areas2[1:-1], lens[1:-1])])
+    blen, bsense = (np.array(row[1:-1], dtype=float) for row in (lens, senses))
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_slot_sim
         return SimResult(
-            avg_aoi_est=float(total_area / total_len),
-            avg_energy_est=float(es * total_sense / total_len + et),
-            stderr_aoi=_batch_stderr(barea / blen),
+            avg_aoi_est=sum(areas2[1:]) / (2 * sum(lens[1:])),
+            avg_energy_est=es * sum(senses[1:]) / sum(lens[1:]) + et,
+            stderr_aoi=_batch_stderr(aoi_means),
             stderr_energy=_batch_stderr(es * bsense / blen + et),
-            slots=slots,
-            packets_generated=packets,
+            slots=sum(lens),
+            packets_generated=sum(senses),
             successes=cfg.horizon_slots,
             seed=cfg.seed,
         )

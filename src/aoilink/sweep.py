@@ -152,11 +152,11 @@ class EsSweep:
 @dataclass(frozen=True)
 class TradeoffCurve:
     """An ordered list of (energy, age) points plus the divisor applied to
-    the energies (1.0 while unnormalized)."""
+    the energies (None while unnormalized)."""
 
     label: str
     points: tuple[MetricPoint, ...]
-    normalizer: float = 1.0
+    normalizer: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -207,16 +207,17 @@ def _power_grid(spec: PowerSweep):
     return cells, [(f"M={m}", [(j, m, *_age_and_rate(c[0], m)) for j, c in enumerate(cells)]) for m in ms]
 
 
-def _curves(grid, sense_energy: float, divisor=1.0, prefix="", suffix="") -> list[TradeoffCurve]:
+def _curves(grid, sense_energy: float, divisor=None, prefix="", suffix="") -> list[TradeoffCurve]:
     """A grid's curves at sensing energy ``sense_energy``, every average energy
-    divided by ``divisor`` (exact for 1.0)."""
+    divided by ``divisor`` when one is given."""
     cells, curves = grid
     out = []
     for label, rows in curves:
         points = []
         for j, m, age, rate in rows:
             p, tx_energy, dbm = cells[j]
-            points.append(MetricPoint(p, m, age, (rate * sense_energy + tx_energy) / divisor, dbm))
+            energy = rate * sense_energy + tx_energy
+            points.append(MetricPoint(p, m, age, energy if divisor is None else energy / divisor, dbm))
         out.append(TradeoffCurve(prefix + label + suffix, tuple(points), divisor))
     return out
 
@@ -251,15 +252,16 @@ def es_sweep(spec: EsSweep) -> list[TradeoffCurve]:
 def normalize_curve(curve: TradeoffCurve, normalizer: float) -> TradeoffCurve:
     """Divide every point's average energy by ``normalizer``.
 
-    Ages are untouched; the curve's cumulative normalizer is multiplied so
-    repeated normalizations compose.
+    Ages are untouched; the curve's normalizer, if it has one, is multiplied
+    so repeated normalizations compose.
     """
     _check_positive("normalizer", normalizer)
     points = tuple(
         MetricPoint(pt.p, pt.max_tx, pt.avg_aoi, pt.avg_energy / normalizer, pt.tx_power_dbm)
         for pt in curve.points
     )
-    return TradeoffCurve(curve.label + _DIVIDED_BY.format(normalizer), points, curve.normalizer * normalizer)
+    total = normalizer if curve.normalizer is None else curve.normalizer * normalizer
+    return TradeoffCurve(curve.label + _DIVIDED_BY.format(normalizer), points, total)
 
 
 def pareto_front(points: Iterable[MetricPoint] | Sequence[MetricPoint]) -> list[MetricPoint]:

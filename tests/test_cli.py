@@ -24,13 +24,15 @@ from aoilink.output import (
     RESULT_FIELDS,
     emit_csv,
     emit_json,
+    emit_report_csv,
     parse_csv,
     parse_json,
     rows_to_csv,
     rows_to_json,
 )
+from aoilink.simulator import SimResult
 from aoilink.sweep import MSweep, m_sweep, normalize_curve
-from aoilink.validation import ValidationReport
+from aoilink.validation import ValidationPoint, ValidationReport
 
 REF = ["--es", "4.02308", "--et", "4.02308"]
 POWER_LINK = ["--rate", "2", "--snr-ref-db", "20", "--p-ref-dbm", "20",
@@ -60,6 +62,13 @@ def test_parse_int_list_ranges():
         parse_int_list("6..1", "--M")
     with pytest.raises(CliError):
         parse_int_list("a", "--M")
+
+
+def test_parse_int_list_limit_is_inclusive():
+    assert parse_int_list("1..1000000", "--M") == list(range(1, 1_000_001))
+    for text in ("1..1000001", "1..999999,5,6"):
+        with pytest.raises(CliError, match="more than the limit of 1000000 values"):
+            parse_int_list(text, "--M")
 
 
 def test_parse_float_list():
@@ -159,6 +168,27 @@ def test_sweep_es(capsys):
     assert all(row["avg_energy"] == "" for row in rows)
     first_curve = [row for row in rows if row["label"].startswith("Es=0 ")]
     assert all(float(row["avg_energy_normalized"]) == 1.0 for row in first_curve)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["sweep", "m", "--p", "0.4", "--M", "1..2", "--es", "4", "--et", "1", "--normalizer", "1"], 2),
+        # Es = 0 plus the default tx reference (the base's Et = 1) divides by exactly 1.
+        (["sweep", "es", "--base", "m", "--es-list", "0,1", "--p", "0.4", "--M", "1..2", "--et", "1"], 4),
+    ],
+    ids=["normalizer", "es-sweep"],
+)
+def test_curve_normalized_by_one_fills_the_normalized_column(capsys, argv, count):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    rows = csv_rows(out)
+    assert len(rows) == count
+    assert sum(row["label"].endswith(" (energy/1)") for row in rows) == 2
+    assert all(row["avg_energy"] == "" and row["avg_energy_normalized"] != "" for row in rows)
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert all(row["avg_energy"] is None and row["avg_energy_normalized"] > 0 for row in json.loads(out))
 
 
 def test_simulate_csv(capsys):
@@ -934,6 +964,14 @@ def test_parse_csv_types():
     assert isinstance(first["M"], int)
     assert first["pt_dbm"] is None
     assert isinstance(first["avg_aoi"], float)
+
+
+def test_report_pass_columns_round_trip_by_value():
+    result = SimResult(2.0, 3.0, 0.1, 0.1, slots=100, packets_generated=60, successes=50, seed=5)
+    verdicts = [(True, False), (False, True)]
+    points = tuple(ValidationPoint(0.4, 2, 2.0, 3.0, result, result, *pair) for pair in verdicts)
+    rows = parse_csv(emit_report_csv(ValidationReport(points, passed=False)))
+    assert [(row["slot_pass"], row["cycle_pass"]) for row in rows] == verdicts
 
 
 def test_csv_and_json_carry_same_values():

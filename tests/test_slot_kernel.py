@@ -13,10 +13,11 @@ against the per-slot kernel and against ``%d`` formatting.
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aoilink import simulator
@@ -29,6 +30,7 @@ from aoilink.simulator import (
     _slot_chunk,
     run_cycle_sim,
     run_slot_sim,
+    sample_cycles,
     write_age_trace,
 )
 
@@ -169,6 +171,73 @@ def test_cycle_sim_rounded_sums_near_pinned(p, max_tx, seed, horizon, warmup, ba
     for got, want in zip(estimates(res), pinned):
         assert math.isclose(got, float.fromhex(want), rel_tol=1e-12, abs_tol=0.0)
     assert (res.slots, res.packets_generated, res.successes) == counts
+
+
+def exact_mean_age(lengths, delivered, warmup):
+    """The renewal age estimate of the cycles past the warmup, as a correctly
+    rounded ratio of exact sums: each cycle of y slots after one that delivered
+    a packet of ``prev`` transmissions has twice its area, y * (2 * prev + y)."""
+    y, prev = lengths.tolist(), delivered.tolist()
+    twice_area = sum(b * (2 * a + b) for a, b in zip(prev[warmup - 1 : -1], y[warmup:]))
+    return float(Fraction(twice_area, 2 * sum(y[warmup:])))
+
+
+# Configs whose summed areas pass 2**53; those of the *_past_int64 tests in
+# test_simulator.py (the last three) also pass 2**63.
+EXACT_AREAS = [row[:6] for row in CYCLE_ROUNDED] + [
+    (1 - 1e-14, 1, 7, 200_000, 1, 100),
+    (1 - 1e-14, 3, 7, 200_000, 1, 100),
+    (1 - 1e-15, 3, 7, 20_000, 1, 100),
+]
+
+
+@pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches", EXACT_AREAS)
+def test_cycle_sim_age_is_the_exact_area_ratio(p, max_tx, seed, horizon, warmup, batches):
+    cfg = config(p, max_tx, seed, horizon, warmup, batches)
+    lengths, delivered, _ = sample_cycles(cfg.link, cfg.policy, seed, horizon)
+    assert run_cycle_sim(cfg).avg_aoi_est == exact_mean_age(lengths, delivered, cfg.warmup_slots)
+
+
+def test_cycle_sim_guards_int64_area_sums(monkeypatch):
+    # Cycles of about 2**30 slots, each delivered on its last transmission:
+    # every doubled area (about 3 * 2**60) and the chunk's length sum (about
+    # 2**40) fit int64, but the chunk's summed areas (about 2**71) do not.
+    lengths = (1 << 30) + np.arange(1000, dtype=np.int64)
+    chunks = [lengths, lengths[::-1].copy()]
+    assert int(lengths.sum()) < 2**63 < sum(3 * y * y for y in lengths.tolist())
+    monkeypatch.setattr(simulator, "_cycle_chunks", lambda *args: ((y, y, np.ones_like(y)) for y in chunks))
+    res = run_cycle_sim(config(0.5, HUGE_M, 1, 2000, 10, 10))
+    y = np.concatenate(chunks)
+    assert res.avg_aoi_est == exact_mean_age(y, y, 10)
+    assert (res.slots, res.packets_generated, res.successes) == (sum(y.tolist()), 2000, 2000)
+
+
+@st.composite
+def short_configs(draw):
+    """Configs of up to 3 chunks of 2**10, at any p below 1 and M up to 10**20."""
+    batches = draw(st.integers(min_value=2, max_value=20))
+    horizon = draw(st.integers(min_value=batches + 1, max_value=3 << 10))
+    return config(
+        draw(st.floats(min_value=0.0, max_value=1 - 2**-53)),
+        draw(st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=HUGE_M))),
+        draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        horizon,
+        draw(st.integers(min_value=1, max_value=horizon - batches)),
+        batches,
+    )
+
+
+@settings(deadline=None)
+@given(short_configs())
+@example(config(1 - 1e-12, 3, 1, 3 << 10, 1, 2))  # batches straddle the 2**10 chunk edges
+@example(config(1 - 2**-53, HUGE_M, 2, 3 << 10, 5, 3))
+def test_results_do_not_depend_on_the_chunk_size(cfg):
+    results = []
+    for chunk in (1 << 10, 1 << 16, 1 << 18):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", chunk)
+            results.append((run_slot_sim(cfg), run_cycle_sim(cfg)))
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("runner", [run_slot_sim, run_cycle_sim])

@@ -289,10 +289,12 @@ def hexed(pt):
     return (pt.p.hex(), pt.max_tx, pt.avg_aoi.hex(), pt.avg_energy.hex(), pt.tx_power_dbm)
 
 
+def curve_key(c):
+    return c.label, None if c.normalizer is None else c.normalizer.hex(), len(c.points)
+
+
 def assert_same_curves(got, want):
-    assert [(c.label, c.normalizer.hex(), len(c.points)) for c in got] == [
-        (c.label, c.normalizer.hex(), len(c.points)) for c in want
-    ]
+    assert list(map(curve_key, got)) == list(map(curve_key, want))
     for curve, expected in zip(got, want):
         assert curve.points == expected.points
         assert list(map(hexed, curve.points)) == list(map(hexed, expected.points))
@@ -532,5 +534,5 @@ def test_pareto_rejects_nan(energy, aoi):
 
 def test_curve_defaults():
     curve = TradeoffCurve("x", (point(1, 2),))
-    assert curve.normalizer == 1.0
+    assert curve.normalizer is None
     assert isinstance(curve.points, tuple)
