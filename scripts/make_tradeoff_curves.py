@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Generate the standard energy-age tradeoff datasets as CSV.
 
-Four experiments, written into --outdir for external plotting:
+Four experiments, each the output of one ``aoilink sweep`` command below,
+written into --outdir for external plotting:
 
 - m_sweep_constant_power.csv: retransmission-limit sweep at several channel
   qualities with fixed transmit power (Es = Et = 4.02308 J).
@@ -15,32 +16,24 @@ Four experiments, written into --outdir for external plotting:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from aoilink import EnergyParams, EsSweep, MSweep, PowerSweep, es_sweep, m_sweep, power_sweep
-from aoilink.output import emit_csv
+from aoilink.cli import main as aoilink
 
-CIRCUIT_POWER = 2.1  # W
-INV_DRAIN_EFF = 19.2308
-MAX_POWER = 0.1  # W (20 dBm)
-ET_REF = CIRCUIT_POWER + INV_DRAIN_EFF * MAX_POWER  # 4.02308 J per slot
-ES_LIST = (0.0, 0.5 * ET_REF, ET_REF, 2.0 * ET_REF)
+ET_REF = "4.02308"  # J per slot: Pc + eta * Pmax = 2.1 + 19.2308 * 0.1 W
+ES_LIST = "0,2.01154,4.02308,8.04616"  # 0, 0.5, 1 and 2 times ET_REF
+BUDGET = (  # the 2-20 dBm grid and its Rayleigh link and amplifier
+    "--dbm-min 2 --dbm-max 20 --dbm-step 3 --rate 2 --snr-ref-db 20 --p-ref-dbm 20"
+    " --pc 2.1 --eta 19.2308 --pmax-dbm 20"
+)
 
-
-def power_spec(max_tx_list, sense_energy=ET_REF):
-    return PowerSweep(
-        dbm_min=2.0,
-        dbm_max=20.0,
-        dbm_step=3.0,
-        max_tx_list=max_tx_list,
-        rate=2.0,
-        snr_ref_db=20.0,
-        ref_power_dbm=20.0,
-        sense_energy=sense_energy,
-        circuit_power=CIRCUIT_POWER,
-        inv_drain_eff=INV_DRAIN_EFF,
-        max_power=MAX_POWER,
-    )
+DATASETS = {
+    "m_sweep_constant_power.csv": f"sweep m --p 0.1,0.2,0.3,0.4 --M 1..6 --es {ET_REF} --et {ET_REF}",
+    "es_sweep_constant_power.csv": f"sweep es --base m --es-list {ES_LIST} --p 0.4 --M 1..6 --et {ET_REF}",
+    "power_control_sweep.csv": f"sweep power {BUDGET} --M 1..6 --es {ET_REF}",
+    "es_sweep_power_control.csv": f"sweep es --base power --es-list {ES_LIST} {BUDGET} --M 6",
+}
 
 
 def main():
@@ -50,22 +43,12 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    max_tx = tuple(range(1, 7))
-    datasets = {
-        "m_sweep_constant_power.csv": m_sweep(
-            MSweep((0.1, 0.2, 0.3, 0.4), max_tx, EnergyParams(ET_REF, ET_REF))
-        ),
-        "es_sweep_constant_power.csv": es_sweep(
-            EsSweep(ES_LIST, MSweep((0.4,), max_tx, EnergyParams(0.0, ET_REF)))
-        ),
-        "power_control_sweep.csv": power_sweep(power_spec(max_tx)),
-        "es_sweep_power_control.csv": es_sweep(EsSweep(ES_LIST, power_spec((6,)))),
-    }
-    for name, curves in datasets.items():
+    for name, command in DATASETS.items():
         path = outdir / name
-        path.write_text(emit_csv(curves))
-        points = sum(len(curve.points) for curve in curves)
-        print(f"wrote {path} ({len(curves)} curves, {points} points)")
+        code = aoilink([*command.split(), "--output", str(path)])
+        if code != 0:
+            sys.exit(code)
+        print(f"wrote {path}: aoilink {command}")
 
 
 if __name__ == "__main__":

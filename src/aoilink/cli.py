@@ -173,9 +173,13 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
     _add_shared(parser, "--es", "--et", *_BUDGET)
 
 
-def _subcommand(parent, name: str, summary: str) -> argparse.ArgumentParser:
-    """A subcommand's parser, with the input and output flags every one takes."""
+def _subcommand(
+    parent, name: str, summary: str, handler: Callable[[argparse.Namespace], tuple[int, str]]
+) -> argparse.ArgumentParser:
+    """A subcommand's parser, with the input and output flags every one takes;
+    ``handler(args)`` runs it and returns the exit code and the text to emit."""
     parser = parent.add_parser(name, help=summary)
+    parser.set_defaults(handler=handler)
     parser.add_argument("--config", help="JSON object of flag values; explicit flags win")
     parser.add_argument("--output", "-o", help="write to this file instead of stdout")
     _add(parser, "--format", "output format", "csv", choices=["csv", "json"])
@@ -189,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_point_options(_subcommand(sub, "analytic", "evaluate the closed forms at one point"))
+    _add_point_options(_subcommand(sub, "analytic", "evaluate the closed forms at one point", _handle_analytic))
 
-    p_sim = _subcommand(sub, "simulate", "run one Monte Carlo estimate")
+    p_sim = _subcommand(sub, "simulate", "run one Monte Carlo estimate", _handle_simulate)
     _add_point_options(p_sim)
     _add(p_sim, "--estimator", "estimator", "slot", choices=["slot", "cycle"])
     _add(p_sim, "--horizon", "slots (slot) or cycles (cycle)", 1_000_000, type=int)
@@ -200,13 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_sim, "--seed", "--batches", seed=1, batches=100)
 
     kind = sub.add_parser("sweep", help="emit tradeoff curves").add_subparsers(dest="kind", required=True)
-    p_m = _subcommand(kind, "m", "sweep the retransmission limit at fixed p")
+    p_m = _subcommand(kind, "m", "sweep the retransmission limit at fixed p", _handle_sweep_m)
     _add_shared(p_m, "--p", "--M", "--es", "--et", "--normalizer", "--pareto")
 
-    p_pw = _subcommand(kind, "power", "sweep the transmit power under a Rayleigh budget")
+    p_pw = _subcommand(kind, "power", "sweep the transmit power under a Rayleigh budget", _handle_sweep_power)
     _add_shared(p_pw, "--M", "--es", *_POWER_GRID, "--normalizer", "--pareto")
 
-    p_es = _subcommand(kind, "es", "rerun a base sweep per sensing energy, normalized")
+    p_es = _subcommand(kind, "es", "rerun a base sweep per sensing energy, normalized", _handle_sweep_es)
     p_es.add_argument("--es-list", help="comma-separated sensing energies, J")
     _add(p_es, "--base", "base sweep kind", "m", choices=["m", "power"])
     _add_shared(p_es, "--p", "--M", "--et", *_POWER_GRID)
@@ -217,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: derived from the base sweep)",
     )
 
-    p_val = _subcommand(sub, "validate", "check both estimators against the closed forms")
+    p_val = _subcommand(sub, "validate", "check both estimators against the closed forms", _handle_validate)
     p_val.add_argument("--grid", choices=["default"], help="named grid: the --p and --M defaults")
     _add(p_val, "--slots", "slot-estimator horizon", 1_000_000, type=int)
     p_val.add_argument("--cycles", type=int, help="cycle-estimator horizon (default: --slots)")
@@ -245,7 +249,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
         raise CliError(f"--config {args.config}: {exc}") from None
     if not isinstance(data, dict):
         raise CliError(f"--config {args.config}: expected a JSON object")
-    known = vars(args).keys() - {"command", "kind", "config"}
+    known = vars(args).keys() - {"command", "kind", "config", "handler"}
     tokens = []
     for key, value in data.items():
         dest = key.replace("-", "_")
@@ -355,19 +359,22 @@ def _handle_simulate(args) -> tuple[int, str]:
 
 def _atomic_write(path: str, write: Callable[[str], object]) -> None:
     """Have ``write`` fill a ``.part`` file beside ``path``, then rename it
-    over ``path``; on any error the ``.part`` file is removed."""
+    over ``path``; on any error the ``.part`` file is removed, and an
+    ``OSError`` is raised again naming ``path``, not the ``.part`` file."""
     import tempfile  # only --output and --trace pay for it
 
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".part")
-    os.close(fd)
     try:
-        write(tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".part")
+        os.close(fd)
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _m_spec(args, sense_energy: float | None) -> MSweep:
@@ -434,22 +441,11 @@ def _handle_validate(args) -> tuple[int, str]:
     return (0 if report.passed else 1), emit(report)
 
 
-def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
-    if args.command == "analytic":
-        return _handle_analytic(args)
-    if args.command == "simulate":
-        return _handle_simulate(args)
-    if args.command == "sweep":
-        handler = {"m": _handle_sweep_m, "power": _handle_sweep_power, "es": _handle_sweep_es}
-        return handler[args.kind](args)
-    return _handle_validate(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(build_parser(), argv)
-        code, text = _dispatch(args)
+        code, text = args.handler(args)
     except SystemExit as exc:  # argparse has printed usage or help
         return int(exc.code) if exc.code else 0
     except (CliError, ValueError) as exc:

@@ -363,28 +363,20 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
         )
 
 
-def age_trace(
-    cfg: SimConfig, slots: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Replay the slot state machine over ``slots`` slots (default: the horizon).
+def age_trace(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Replay the slot state machine over the horizon's slots.
 
     Yields, chunk by chunk, the slot numbers, the ages at slot end after any
-    reset, and the delivery flags. The length is checked on the call, before
-    any draw. The seed and draw discipline are those of :func:`run_slot_sim`,
-    so the trace describes exactly the run that produced the estimates.
+    reset, and the delivery flags. The seed and draw discipline are those of
+    :func:`run_slot_sim`, so the trace describes exactly the run that
+    produced the estimates. The draws depend only on the seed and ``p``, so
+    a config with a shorter horizon traces a prefix of the run.
     """
-    n = cfg.horizon_slots if slots is None else slots
-    if n < 1:
-        raise ValueError(f"trace length must be >= 1, got {n}")
-
-    def chunks():
-        k = last = first = 0
-        for fails in _draws(cfg.link, cfg.seed, n):
-            tx, age, k, last = _slot_chunk(fails, cfg.policy.max_tx, k, last)
-            yield np.arange(first, first + fails.size), np.where(fails, age + 1, tx), ~fails
-            first += fails.size
-
-    return chunks()
+    k = last = first = 0
+    for fails in _draws(cfg.link, cfg.seed, cfg.horizon_slots):
+        tx, age, k, last = _slot_chunk(fails, cfg.policy.max_tx, k, last)
+        yield np.arange(first, first + fails.size), np.where(fails, age + 1, tx), ~fails
+        first += fails.size
 
 
 def _csv_rows(*columns: np.ndarray) -> bytes:
@@ -416,7 +408,7 @@ def _csv_rows(*columns: np.ndarray) -> bytes:
     return out[out != 0].tobytes()
 
 
-def write_age_trace(cfg: SimConfig, path: str | Path, slots: int | None = None) -> None:
+def write_age_trace(cfg: SimConfig, path: str | Path) -> None:
     """Export the age trace as CSV with columns ``slot,age,reset``.
 
     ``age`` is the age at slot end after any reset; ``reset`` is 1 on
@@ -424,8 +416,7 @@ def write_age_trace(cfg: SimConfig, path: str | Path, slots: int | None = None) 
     chunk by chunk, so memory stays flat in the trace length. The draws are
     those of :func:`run_slot_sim` with the same config.
     """
-    rows = age_trace(cfg, slots)
     with open(path, "wb") as fh:
         fh.write(b"slot,age,reset\n")
         # starmap keeps no chunk alive while the next one is drawn
-        fh.writelines(starmap(_csv_rows, rows))
+        fh.writelines(starmap(_csv_rows, age_trace(cfg)))

@@ -191,7 +191,7 @@ def _m_grid(spec: MSweep):
     and ``(cell index, M, age, sensing rate)`` rows."""
     cells = [(p, spec.energy.tx_energy, None) for p in spec.p_list]
     ms = sorted(spec.max_tx_list)
-    return cells, [(f"p={p:g}", [(j, m, *_age_and_rate(p, m)) for m in ms]) for j, p in enumerate(spec.p_list)]
+    return cells, [(f"p={p:.9g}", [(j, m, *_age_and_rate(p, m)) for m in ms]) for j, p in enumerate(spec.p_list)]
 
 
 def _power_grid(spec: PowerSweep):
@@ -245,7 +245,7 @@ def es_sweep(spec: EsSweep) -> list[TradeoffCurve]:
     for es in spec.es_list:
         normalizer = es + tx_ref
         _check_positive("normalizer", normalizer)
-        out += _curves(grid, es, normalizer, f"Es={es:g} ", _DIVIDED_BY.format(normalizer))
+        out += _curves(grid, es, normalizer, f"Es={es:.9g} ", _DIVIDED_BY.format(normalizer))
     return out
 
 

@@ -69,19 +69,17 @@ def build_report(
     whole report stays reproducible from one seed.
     """
     _check_seed(seed)
-    points = []
-    for index, (p, max_tx) in enumerate(
-        (p, m) for p in p_values for m in max_tx_values
-    ):
+    runs = []  # every config is built, and so checked, before any estimator runs
+    for index, (p, max_tx) in enumerate((p, m) for p in p_values for m in max_tx_values):
         point_seed = (seed + 1_000_003 * index) % 2**64
         link = FixedFailureLink(p)
         policy = Policy(max_tx)
-        slot_res = run_slot_sim(
-            SimConfig(link, policy, energy, point_seed, slots, batches=batches)
-        )
-        cycle_res = run_cycle_sim(
-            SimConfig(link, policy, energy, point_seed, cycles, batches=batches)
-        )
+        configs = [SimConfig(link, policy, energy, point_seed, n, batches=batches) for n in (slots, cycles)]
+        runs.append((p, max_tx, *configs))
+    points = []
+    for p, max_tx, slot_cfg, cycle_cfg in runs:
+        slot_res = run_slot_sim(slot_cfg)
+        cycle_res = run_cycle_sim(cycle_cfg)
         exact_aoi = avg_aoi(p, max_tx)
         exact_energy = avg_energy(p, max_tx, energy)
         points.append(

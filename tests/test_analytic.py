@@ -75,6 +75,11 @@ def test_noise_from_reference_snr_past_the_float_range_raises(snr_db):
         noise_from_reference_snr(0.1, snr_db)
 
 
+def test_noise_from_reference_snr_rejects_an_infinite_snr():
+    with pytest.raises(ValueError, match="must be finite"):
+        noise_from_reference_snr(1.0, math.inf)
+
+
 @pytest.mark.parametrize(
     "model, expected",
     [

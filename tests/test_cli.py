@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import aoilink
 import aoilink.cli as cli
+import aoilink.validation as validation
 from aoilink.analytic import EnergyParams
 from aoilink.cli import main, parse_float_list, parse_int_list
 from aoilink.cli import CliError
@@ -189,6 +190,20 @@ def test_curve_normalized_by_one_fills_the_normalized_column(capsys, argv, count
     code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
     assert code == 0
     assert all(row["avg_energy"] is None and row["avg_energy_normalized"] > 0 for row in json.loads(out))
+
+
+def test_curve_labels_carry_nine_significant_digits(capsys):
+    # Two p values equal to 6 digits get distinct labels, each the row's own p cell.
+    code, out, _ = run_cli(capsys, ["sweep", "m", "--p", "0.1234561,0.1234564", "--M", "1", "--es", "1", "--et", "1"])
+    assert code == 0
+    rows = csv_rows(out)
+    assert [row["label"] for row in rows] == ["p=0.1234561", "p=0.1234564"]
+    assert all(row["label"] == "p=" + row["p"] for row in rows)
+    code, out, _ = run_cli(
+        capsys, ["sweep", "es", "--es-list", "1.2345671,1.2345674", "--p", "0.4", "--M", "1", "--et", "1"]
+    )
+    assert code == 0
+    assert [row["label"].split()[0] for row in csv_rows(out)] == ["Es=1.2345671", "Es=1.2345674"]
 
 
 def test_simulate_csv(capsys):
@@ -561,6 +576,25 @@ def test_validate_grid_past_the_limit_exits_2(capsys, monkeypatch, p_count, m_co
     assert f"grid of {p_count * m_count} points exceeds the limit of 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--p", "0.1,0.4,0.7,1.5", "--M", "1,3,6"],
+        ["--p", "0.4", "--M", "1,3,0"],
+        ["--p", "0.4", "--M", "1,3", "--cycles", "1", "--batches", "2"],
+    ],
+    ids=["p", "M", "cycles"],
+)
+def test_validate_rejects_a_bad_grid_before_simulating(capsys, monkeypatch, extra):
+    calls = []
+    monkeypatch.setattr(validation, "run_slot_sim", lambda cfg: calls.append(cfg))
+    monkeypatch.setattr(validation, "run_cycle_sim", lambda cfg: calls.append(cfg))
+    code, out, err = run_cli(capsys, ["validate", "--slots", "2000", *extra])
+    assert code == 2
+    assert out == "" and calls == []
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--output", "--trace"])
 def test_failed_atomic_write_leaves_no_part_file(tmp_path, capsys, flag):
     blocker = tmp_path / "taken"
@@ -573,6 +607,23 @@ def test_failed_atomic_write_leaves_no_part_file(tmp_path, capsys, flag):
     assert code == 1
     assert "error" in err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("flag", ["--output", "--trace"])
+@pytest.mark.parametrize("target", ["missing/out.csv", "taken"])
+def test_io_error_names_the_given_path(tmp_path, capsys, flag, target):
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / target)
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--p", "0.4", "--M", "2", *REF, "--horizon", "300",
+         "--warmup", "50", "--batches", "2", flag, path],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+    assert repr(path) in err and ".part" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
 
 def test_no_subcommand_exits_2(capsys):
@@ -685,6 +736,37 @@ def test_config_bad_value_exits_2(tmp_path, capsys, command, config):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["analytic", "--M", "1", "--es", "1", "--et", "1"], None, "link needs --p, or --rate and --pt-dbm"),
+        (["analytic", "--rate", "2", "--pt-dbm", "10", "--M", "1", "--es", "1", "--et", "1"], None,
+         "noise power needs --sigma2, or --snr-ref-db and --p-ref-dbm"),
+        (["analytic", "--p", "0.4", "--M", "1", "--es", "1"], None, "transmit energy needs --et, or --pc and --eta"),
+        (["analytic", "--p", "0.4", "--M", "1", "--es", "1", "--pc", "1", "--eta", "1"], None,
+         "--pc/--eta need --pt-dbm to derive the transmit energy"),
+        (["analytic"], [1, 2], "expected a JSON object"),
+        (["analytic"], {"handler": 1}, "unknown key 'handler'"),
+        (["sweep", "m", "--p", "0.4,x", "--M", "1", "--es", "1", "--et", "1"], None,
+         "--p: could not convert string to float: 'x'"),
+        (["sweep", "m", "--p", "0.4", "--M", ",", "--es", "1", "--et", "1"], None,
+         "--M: expected integers or a..b ranges"),
+    ],
+    ids=["no-link", "no-noise", "no-tx-energy", "pc-without-pt", "config-list", "config-handler",
+         "p-not-a-number", "empty-M"],
+)
+def test_usage_error_prints_one_line_and_exits_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_config_number_is_parsed_as_the_flag_text(tmp_path, capsys, monkeypatch):
     # {"trace": 5} means what --trace 5 means: the trace goes to the file "5".
     monkeypatch.chdir(tmp_path)
@@ -736,6 +818,13 @@ def test_make_tradeoff_curves_script(tmp_path, capsys, monkeypatch):
         "es_sweep_constant_power.csv": 24,
         "power_control_sweep.csv": 42,
         "es_sweep_power_control.csv": 28,
+    }
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert digests == {
+        "m_sweep_constant_power.csv": "02b85ddac23274ef1232a9d00963873e389776565f9d1cb8e9265ff5c7da0b8a",
+        "es_sweep_constant_power.csv": "b9500ec5db5b4716c2d84bd60afd44b6d2ad3a08913a381fcd9f769753d109b9",
+        "power_control_sweep.csv": "baf228569cc8ee4fc6be0ca602e766703e989620cb1fa1d929faf71cdf9b0e84",
+        "es_sweep_power_control.csv": "91297dd8f6505415136eb1d71a22fd1141d954ed57406c84056f15e25532cf6c",
     }
 
 
@@ -964,6 +1053,12 @@ def test_parse_csv_types():
     assert isinstance(first["M"], int)
     assert first["pt_dbm"] is None
     assert isinstance(first["avg_aoi"], float)
+
+
+@pytest.mark.parametrize("parse, text", [(parse_csv, ""), (parse_json, "{}")], ids=["csv", "json"])
+def test_parse_rejects_input_without_rows(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
 
 
 def test_report_pass_columns_round_trip_by_value():

@@ -262,7 +262,9 @@ def test_pinned_run_covers_a_chunk_without_delivery():
 @pytest.mark.parametrize("p, max_tx, seed, horizon, slots, digest", PINNED_TRACES)
 def test_trace_bytes_pinned(tmp_path, p, max_tx, seed, horizon, slots, digest):
     path = tmp_path / "trace.csv"
-    write_age_trace(config(p, max_tx, seed, horizon, energy=EnergyParams(1, 1)), path, slots)
+    # A trace pinned at fewer slots than its run is traced from the run cut to that length.
+    length = horizon if slots is None else slots
+    write_age_trace(config(p, max_tx, seed, length, energy=EnergyParams(1, 1)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

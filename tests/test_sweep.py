@@ -281,7 +281,7 @@ def rerun_es_sweep(spec):
         else:
             curves = power_sweep(replace(base, sense_energy=es))
         for curve in curves:
-            out.append(normalize_curve(replace(curve, label=f"Es={es:g} {curve.label}"), es + tx_ref))
+            out.append(normalize_curve(replace(curve, label=f"Es={es:.9g} {curve.label}"), es + tx_ref))
     return out
 
 
