@@ -11,8 +11,8 @@ Subcommands:
 Results go to stdout or ``--output`` as CSV (default) or JSON. A JSON config
 file (``--config``) may supply any flag value, keyed by the flag's long name
 with dashes or underscores; argparse parses it as that flag, and explicit
-flags win. Exit codes: 0 success, 1 validation failure or I/O error, 2 bad
-configuration or usage.
+flags win. Exit codes: 0 success, 1 validation failure, I/O error or numpy
+missing for ``simulate``/``validate``, 2 bad configuration or usage.
 
 ``analytic`` and ``sweep`` run on the closed forms alone and never import
 numpy: the package's numpy-side names (``SimConfig``, ``run_slot_sim``,
@@ -453,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"aoilink: error: {exc}", file=sys.stderr)
+        return 1
+    except ImportError as exc:
+        print(f"aoilink: error: {exc} (simulate and validate need numpy)", file=sys.stderr)
         return 1
     try:
         if args.output is None:

@@ -9,17 +9,18 @@ Two independent estimators of the average age and average energy:
   geometric, and the delivered packet's transmission count and the number of
   sensing events are deterministic functions of it.
 
+Both reduce to one renewal-reward ratio estimate with batch-means standard
+errors (:func:`_estimate`). Each draws and reduces in chunks of ``_CHUNK``
+(65,536) slots or cycles, so memory is flat in the horizon; each chunk is cut
+at the warmup and batch edges (:func:`_batch_cuts`), and each piece is summed
+into per-batch rows of exact integers, so no result depends on the chunking.
 Randomness comes from numpy's default generator (PCG64) seeded with
 ``SimConfig.seed``: one uniform per slot, or one geometric variate per cycle.
-Both estimators draw and reduce in chunks of ``_CHUNK`` (65,536), so memory
-is flat in the horizon, and PCG64 yields the same stream whether drawn at
-once or in chunks, so identical configs give bit-identical results on one
-build. One helper (:func:`_batch_cuts`) cuts each chunk at the warmup and
-batch edges for both estimators, and both sum each piece into per-batch rows
-of exact integers, so no result depends on the chunking. The slot estimator
-reduces each chunk per run of channel outcomes (:func:`_run_sums`), in sums
-equal to those of the per-slot kernel :func:`_slot_chunk`. That kernel is the
-only per-slot replay: :func:`age_trace` yields its rows chunk by chunk, and
+PCG64 yields the same stream whether drawn at once or in chunks, so identical
+configs give bit-identical results on one build. The slot estimator reduces
+each chunk per run of channel outcomes (:func:`_run_sums`), in sums equal to
+those of the per-slot kernel :func:`_slot_chunk`. That kernel is the only
+per-slot replay: :func:`age_trace` yields its rows chunk by chunk, and
 :func:`write_age_trace` renders them as bytes (:func:`_csv_rows`).
 
 Timing convention: sensing happens instantly at slot start, the ACK/NACK is
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +57,11 @@ _CHUNK = 1 << 16  # slots or cycles per kernel call; bounds both estimators' mem
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def _check_cycle_warmup(cfg: SimConfig) -> None:
+    if cfg.warmup_slots < 1:
+        raise ValueError("cycle estimator needs warmup >= 1 cycle")
 
 
 @dataclass(frozen=True)
@@ -246,46 +253,62 @@ def _run_sums(fails: np.ndarray, max_tx: int, k: int, last: int, cuts: list[int]
     return *(np.diff(x).tolist() for x in sums), k_out, last_out
 
 
-def run_slot_sim(cfg: SimConfig) -> SimResult:
-    """Slot-by-slot estimate of average age and average energy.
+def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:
+    """The renewal-reward estimate of one run, with batch-means standard errors.
 
-    Every slot charges the transmit energy; every packet generation
-    (including the one at t=0) charges the sensing energy. The age estimate
-    is the continuous time integral of the age over the post-warmup slots
-    divided by their count; since the age is piecewise linear with unit
-    slope, each slot contributes its start age plus one half. Each chunk is
-    cut at the warmup and batch edges and reduced by :func:`_run_sums`.
+    ``chunks(cut)`` yields, per chunk of ``c`` samples from sample ``first``,
+    the batch of its first piece and exact integer sums over the pieces that
+    ``cut(first, c)`` (:func:`_batch_cuts` at the run's edges) gives: slots,
+    twice the age area, sensing events and deliveries. The age is the area
+    per slot, and the energy Et plus Es times the sensing events per slot.
     """
-    n, warmup, batches = cfg.horizon_slots, cfg.warmup_slots, cfg.batches
-    kept = n - warmup
-    width = kept // batches
-    k = last = first = 0
-    # Exact integer sums of slot-start ages, sensing events and deliveries
-    # over the warmup, each batch, and the remainder past the last full batch.
-    ages, senses, deliveries = rows = [[0] * (batches + 2) for _ in range(3)]
-    for fails in _draws(cfg.link, cfg.seed, n):
-        b0, cuts = _batch_cuts(first, fails.size, warmup, width, batches)
-        *pieces, k, last = _run_sums(fails, cfg.policy.max_tx, k, last, cuts)
+    warmup, batches = cfg.warmup_slots, cfg.batches
+    width = (cfg.horizon_slots - warmup) // batches
+    # Exact sums over the warmup, each batch, and the remainder past the last full batch.
+    slots, areas2, senses, deliveries = rows = [[0] * (batches + 2) for _ in range(4)]
+    for b0, pieces in chunks(partial(_batch_cuts, warmup=warmup, width=width, batches=batches)):
         for row, piece in zip(rows, pieces):
             for i, x in enumerate(piece, b0 + 1):
                 row[i] += x
-        first += fails.size
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
+    kept = sum(slots[1:])
     # An energy past the float range gives inf or nan, which the emitters reject.
     with np.errstate(over="ignore", invalid="ignore"):
-        aoi_means = (np.array(ages[1:-1], dtype=float) + 0.5 * width) / width
-        energy_means = et + es * np.array(senses[1:-1], dtype=float) / width
+        aoi_means = np.array([a / (2 * n) for a, n in zip(areas2[1:-1], slots[1:-1])])
+        bslots, bsenses = (np.array(row[1:-1], dtype=float) for row in (slots, senses))
         return SimResult(
-            avg_aoi_est=(sum(ages[1:]) + 0.5 * kept) / kept,
+            avg_aoi_est=sum(areas2[1:]) / (2 * kept),
             avg_energy_est=et + es * (sum(senses[1:]) / kept),
             stderr_aoi=_batch_stderr(aoi_means),
-            stderr_energy=_batch_stderr(energy_means),
-            slots=n,
+            stderr_energy=_batch_stderr(es * bsenses / bslots + et),
+            slots=sum(slots),
             packets_generated=sum(senses),
             successes=sum(deliveries),
             seed=cfg.seed,
         )
+
+
+def run_slot_sim(cfg: SimConfig) -> SimResult:
+    """Slot-by-slot estimate of average age and average energy.
+
+    Every slot charges the transmit energy; every packet generation
+    (including the one at t=0) charges the sensing energy. The age is
+    piecewise linear with unit slope, so each slot's area is its start age
+    plus one half. Each chunk is cut at the warmup and batch edges and
+    reduced by :func:`_run_sums`.
+    """
+
+    def chunks(cut):
+        k = last = first = 0
+        for fails in _draws(cfg.link, cfg.seed, cfg.horizon_slots):
+            b0, cuts = cut(first, fails.size)
+            ages, senses, deliveries, k, last = _run_sums(fails, cfg.policy.max_tx, k, last, cuts)
+            slots = np.diff(cuts).tolist()
+            yield b0, (slots, [2 * a + n for a, n in zip(ages, slots)], senses, deliveries)
+            first += fails.size
+
+    return _estimate(cfg, chunks)
 
 
 def _cycle_chunks(link: LinkSpec, policy: Policy, seed: int, n: int):
@@ -321,46 +344,27 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
 
     ``horizon_slots`` counts cycles here and ``warmup_slots`` leading cycles
     to discard (at least 1, so the previous cycle's delivered-packet age is
-    defined). A cycle of ``y`` slots adds the trapezoid area
-    ``(prev_delivered + y/2) * y`` (summed doubled, in integers) to the age
-    numerator and its sensing count times the sensing energy to the energy
-    numerator; both are divided by the total slots covered.
+    defined). A cycle of ``y`` slots is ``y`` slots of the run, with twice
+    the trapezoid area ``(prev_delivered + y/2) * y``, its sensing count and
+    one delivery.
     """
-    if cfg.warmup_slots < 1:
-        raise ValueError("cycle estimator needs warmup >= 1 cycle")
-    warmup, batches = cfg.warmup_slots, cfg.batches
-    width = (cfg.horizon_slots - warmup) // batches
-    # Exact sums of cycle lengths, twice the age areas and sensing counts, as in run_slot_sim.
-    lens, areas2, senses = rows = [[0] * (batches + 2) for _ in range(3)]
-    first = prev = 0  # prev: delivered tx count of the cycle before the chunk
-    for lengths, delivered, sensed in _cycle_chunks(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots):
-        b0, cuts = _batch_cuts(first, lengths.size, warmup, width, batches)
-        prev_delivered = np.concatenate(([prev], delivered[:-1]))
-        top = max(int(lengths.max()), prev)  # bounds every length and delivered count
-        if 3 * top * top * lengths.size >= 2**63:  # int64 sums could wrap (p near 1)
-            lengths, prev_delivered, sensed = (x.astype(object) for x in (lengths, prev_delivered, sensed))
-        twice_areas = lengths * (2 * prev_delivered + lengths)  # each at most 3 * top**2
-        pieces = (np.add.reduceat(x, cuts[:-1]).tolist() for x in (lengths, twice_areas, sensed))
-        for row, piece in zip(rows, pieces):
-            for i, x in enumerate(piece, b0 + 1):
-                row[i] += x
-        prev = int(delivered[-1])
-        first += lengths.size
+    _check_cycle_warmup(cfg)
 
-    es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
-    aoi_means = np.array([a / (2 * n) for a, n in zip(areas2[1:-1], lens[1:-1])])
-    blen, bsense = (np.array(row[1:-1], dtype=float) for row in (lens, senses))
-    with np.errstate(over="ignore", invalid="ignore"):  # as in run_slot_sim
-        return SimResult(
-            avg_aoi_est=sum(areas2[1:]) / (2 * sum(lens[1:])),
-            avg_energy_est=es * sum(senses[1:]) / sum(lens[1:]) + et,
-            stderr_aoi=_batch_stderr(aoi_means),
-            stderr_energy=_batch_stderr(es * bsense / blen + et),
-            slots=sum(lens),
-            packets_generated=sum(senses),
-            successes=cfg.horizon_slots,
-            seed=cfg.seed,
-        )
+    def chunks(cut):
+        first = prev = 0  # prev: delivered tx count of the cycle before the chunk
+        for lengths, delivered, sensed in _cycle_chunks(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots):
+            b0, cuts = cut(first, lengths.size)
+            prev_delivered = np.concatenate(([prev], delivered[:-1]))
+            top = max(int(lengths.max()), prev)  # bounds every length and delivered count
+            if 3 * top * top * lengths.size >= 2**63:  # int64 sums could wrap (p near 1)
+                lengths, prev_delivered, sensed = (x.astype(object) for x in (lengths, prev_delivered, sensed))
+            twice_areas = lengths * (2 * prev_delivered + lengths)  # each at most 3 * top**2
+            sums = (np.add.reduceat(x, cuts[:-1]).tolist() for x in (lengths, twice_areas, sensed))
+            yield b0, (*sums, np.diff(cuts).tolist())  # one delivery per cycle
+            prev = int(delivered[-1])
+            first += lengths.size
+
+    return _estimate(cfg, chunks)
 
 
 def age_trace(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
-from .simulator import SimConfig, SimResult, _check_seed, run_cycle_sim, run_slot_sim
+from .simulator import SimConfig, SimResult, _check_cycle_warmup, _check_seed, run_cycle_sim, run_slot_sim
 
 __all__ = [
     "ValidationPoint",
@@ -75,6 +75,7 @@ def build_report(
         link = FixedFailureLink(p)
         policy = Policy(max_tx)
         configs = [SimConfig(link, policy, energy, point_seed, n, batches=batches) for n in (slots, cycles)]
+        _check_cycle_warmup(configs[1])
         runs.append((p, max_tx, *configs))
     points = []
     for p, max_tx, slot_cfg, cycle_cfg in runs:

@@ -582,8 +582,10 @@ def test_validate_grid_past_the_limit_exits_2(capsys, monkeypatch, p_count, m_co
         ["--p", "0.1,0.4,0.7,1.5", "--M", "1,3,6"],
         ["--p", "0.4", "--M", "1,3,0"],
         ["--p", "0.4", "--M", "1,3", "--cycles", "1", "--batches", "2"],
+        # A valid cycle config whose default warmup is 5 // 10 = 0 cycles.
+        ["--p", "0.4", "--M", "1,3", "--cycles", "5", "--batches", "2"],
     ],
-    ids=["p", "M", "cycles"],
+    ids=["p", "M", "cycles", "cycle-warmup"],
 )
 def test_validate_rejects_a_bad_grid_before_simulating(capsys, monkeypatch, extra):
     calls = []
@@ -1002,6 +1004,31 @@ print(json.dumps({{
 """)
     assert seen == {"found": True, "code": 0, "calls": [500], "numpy": True,
                     "package": True, "submodules": ["aoilink.validation", True]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p", "0.4", "--M", "6", "--es", "1", "--et", "1", "--horizon", "1000"],
+        ["validate", "--p", "0.4", "--M", "6", "--slots", "1000"],
+    ],
+    ids=["simulate", "validate"],
+)
+def test_simulator_commands_without_numpy_fail_in_one_line(argv):
+    # As on an interpreter without numpy: importing it raises ImportError.
+    seen = run_fresh(f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from aoilink import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main({argv!r})
+print(json.dumps({{"code": code, "out": out.getvalue(), "err": err.getvalue()}}))
+""")
+    assert seen["code"] == 1
+    assert seen["out"] == ""
+    assert seen["err"].startswith("aoilink: error:") and seen["err"].count("\n") == 1
+    assert seen["err"].endswith("(simulate and validate need numpy)\n")
 
 
 def test_lazy_names_fail_like_missing_attributes():

@@ -191,11 +191,24 @@ EXACT_AREAS = [row[:6] for row in CYCLE_ROUNDED] + [
 ]
 
 
-@pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches", EXACT_AREAS)
+def exact_mean_energy(cfg, senses, slots):
+    """Both estimators' energy estimate: Et plus Es times the sensing events
+    per slot, the ratio of the exact integer sums taken first."""
+    return cfg.energy.tx_energy + cfg.energy.sense_energy * (senses / slots)
+
+
+# A config where es * S / L + et and et + es * (S / L) round apart.
+ENERGY_ORDER = (0.4, 3, 9, 5000, None, 10)
+
+
+@pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches", [*EXACT_AREAS, ENERGY_ORDER])
 def test_cycle_sim_age_is_the_exact_area_ratio(p, max_tx, seed, horizon, warmup, batches):
     cfg = config(p, max_tx, seed, horizon, warmup, batches)
-    lengths, delivered, _ = sample_cycles(cfg.link, cfg.policy, seed, horizon)
-    assert run_cycle_sim(cfg).avg_aoi_est == exact_mean_age(lengths, delivered, cfg.warmup_slots)
+    lengths, delivered, sensed = sample_cycles(cfg.link, cfg.policy, seed, horizon)
+    res = run_cycle_sim(cfg)
+    assert res.avg_aoi_est == exact_mean_age(lengths, delivered, cfg.warmup_slots)
+    senses, slots = (sum(x[cfg.warmup_slots :].tolist()) for x in (sensed, lengths))
+    assert res.avg_energy_est == exact_mean_energy(cfg, senses, slots)
 
 
 def test_cycle_sim_guards_int64_area_sums(monkeypatch):
@@ -238,6 +251,26 @@ def test_results_do_not_depend_on_the_chunk_size(cfg):
             mp.setattr(simulator, "_CHUNK", chunk)
             results.append((run_slot_sim(cfg), run_cycle_sim(cfg)))
     assert results[0] == results[1] == results[2]
+
+
+@settings(deadline=None)
+@given(short_configs())
+@example(config(*ENERGY_ORDER))
+@example(config(0.4, 3, 3, CHUNK + 1))  # two chunks
+def test_slot_sim_estimates_are_exact_sum_ratios(cfg):
+    # Sums over a per-slot replay of the same draws: each slot's area is its
+    # start age plus one half, and it senses when it makes transmission 1.
+    k = last = 0
+    ages, senses = [], []
+    for fails in simulator._draws(cfg.link, cfg.seed, cfg.horizon_slots):
+        tx, age, k, last = _slot_chunk(fails, cfg.policy.max_tx, k, last)
+        ages += age.tolist()
+        senses += (tx == 1).tolist()
+    slots = cfg.horizon_slots - cfg.warmup_slots
+    twice_area = sum(2 * a + 1 for a in ages[cfg.warmup_slots :])
+    res = run_slot_sim(cfg)
+    assert res.avg_aoi_est == float(Fraction(twice_area, 2 * slots))
+    assert res.avg_energy_est == exact_mean_energy(cfg, sum(senses[cfg.warmup_slots :]), slots)
 
 
 @pytest.mark.parametrize("runner", [run_slot_sim, run_cycle_sim])

@@ -24,6 +24,7 @@ from aoilink.sweep import (
     MSweep,
     PowerSweep,
     TradeoffCurve,
+    _grid_count,
     dbm_grid,
     es_sweep,
     m_sweep,
@@ -139,6 +140,17 @@ def test_dbm_grid_limit_is_inclusive():
     assert len(dbm_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
     with pytest.raises(ValueError):
         dbm_grid(0.0, float(MAX_GRID_POINTS), 1.0)
+
+
+def test_dbm_grid_limit_at_a_ratio_of_exactly_the_limit():
+    # The nudged ratio lands on MAX_GRID_POINTS itself, which would floor to
+    # one point past the limit. Only counted, so no grid is built; the
+    # grid's own count is checked here, not the sweep's size limit.
+    dbm_max = 999999.999999999
+    assert (dbm_max - 0.0) / 1.0 + 1e-9 == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="dBm grid exceeds the limit of 1000000"):
+        _grid_count(0.0, dbm_max, 1.0)
+    assert _grid_count(0.0, MAX_GRID_POINTS - 1.0, 1.0) == MAX_GRID_POINTS
 
 
 def test_power_sweep_reference_points():
