@@ -18,6 +18,7 @@ Everything here is pure and stateless; safe to call from concurrent threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -181,6 +182,8 @@ def _check_p(p: float) -> None:
 def _check_max_tx(max_tx: int) -> None:
     if max_tx < 1:
         raise ValueError(f"max_tx must be >= 1, got {max_tx}")
+    if max_tx > sys.float_info.max:  # an int and a float compare exactly
+        raise ValueError("max_tx is past the float range (about 1.8e308)")
 
 
 def _check_nonnegative(name: str, value: float) -> None:

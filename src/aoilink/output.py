@@ -1,8 +1,8 @@
 """CSV and JSON emitters for curves, simulation results, and validation
 reports, plus the parsers that make the emitted artifacts round-trip.
 
-Floats are printed with 9 significant digits, enough that parsing an
-emitted file and re-emitting it reproduces the bytes exactly. Missing
+CSV floats are printed with 9 significant digits and JSON floats exactly, so
+parsing an emitted file and re-emitting it reproduces the bytes exactly. Missing
 fields are empty in CSV and null in JSON. The row builders reject a
 non-finite value, so no emitted file carries ``nan`` or ``inf``.
 """
@@ -15,7 +15,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .sweep import TradeoffCurve
+from .sweep import _FLOAT_FORMAT, TradeoffCurve
 
 if TYPE_CHECKING:  # annotations only: importing these loads numpy
     from .simulator import SimResult
@@ -74,21 +74,35 @@ REPORT_FIELDS = (
 )
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
+# Each cell type as (printer, parser) of a cell that is not empty; None
+# prints as an empty cell, and an empty cell parses as None.
+_STR = (str, str)
+_INT = (str, int)
+_BOOL = (lambda value: "true" if value else "false", lambda text: text == "true")
+_FLOAT = (_FLOAT_FORMAT.format, float)
+
+# The type of each emitted column that does not hold floats; every other
+# column of the three field tuples holds floats.
+_COLUMN_TYPES = {
+    "label": _STR,
+    "estimator": _STR,
+    "M": _INT,
+    "slots": _INT,
+    "packets_generated": _INT,
+    "successes": _INT,
+    "seed": _INT,
+    "slot_pass": _BOOL,
+    "cycle_pass": _BOOL,
+}
 
 
-def _finite(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """``rows``, once every float in them is checked to be finite."""
+def _finite(rows: list[dict[str, Any]], fields: Sequence[str]) -> list[dict[str, Any]]:
+    """``rows``, once every cell of their float columns is checked to be finite."""
+    floats = [name for name in fields if name not in _COLUMN_TYPES]
     for row in rows:
-        for name, value in row.items():
-            if isinstance(value, float) and not math.isfinite(value):
+        for name in floats:
+            value = row[name]
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} is {value}: the inputs are past the float range")
     return rows
 
@@ -114,18 +128,16 @@ def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, Any]]:
                     "avg_aoi": pt.avg_aoi,
                 }
             )
-            # A sum of floats is finite only if each one is; one that overflows is rechecked.
-            if not math.isfinite(pt.p + pt.avg_energy + pt.avg_aoi + (pt.tx_power_dbm or 0.0)):
-                _finite(rows[-1:])
-    return rows
+    return _finite(rows, CURVE_FIELDS)
 
 
 def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
+    printers = [(name, _COLUMN_TYPES.get(name, _FLOAT)[0]) for name in fields]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
-        writer.writerow([_cell(row.get(name)) for name in fields])
+        writer.writerow(["" if (value := row.get(name)) is None else show(value) for name, show in printers])
     return buf.getvalue()
 
 
@@ -155,26 +167,6 @@ def emit_json(curves: Sequence[TradeoffCurve]) -> str:
     return rows_to_json(curve_rows(curves))
 
 
-# Emitted columns that parse as other than float; ``*_pass`` columns are booleans.
-_COLUMN_TYPES: dict[str, Any] = {
-    "label": str,
-    "M": int,
-    "estimator": str,
-    "slots": int,
-    "packets_generated": int,
-    "successes": int,
-    "seed": int,
-}
-
-
-def _typed(name: str, text: str) -> Any:
-    if text == "":
-        return None
-    if name.endswith("_pass"):
-        return text == "true"
-    return _COLUMN_TYPES.get(name, float)(text)
-
-
 def parse_csv(text: str) -> list[dict[str, Any]]:
     """Parse an emitted CSV back into typed row dicts (header-driven)."""
     reader = csv.reader(io.StringIO(text))
@@ -182,8 +174,10 @@ def parse_csv(text: str) -> list[dict[str, Any]]:
         header = next(reader)
     except StopIteration:
         raise ValueError("CSV input is empty") from None
+    parsers = [_COLUMN_TYPES.get(name, _FLOAT)[1] for name in header]
     return [
-        {name: _typed(name, cell) for name, cell in zip(header, row)} for row in reader
+        {name: None if cell == "" else parse(cell) for name, parse, cell in zip(header, parsers, row)}
+        for row in reader
     ]
 
 
@@ -212,7 +206,7 @@ def result_rows(
             "successes": result.successes,
             "seed": result.seed,
         }
-    ])
+    ], RESULT_FIELDS)
 
 
 def emit_result_csv(result: SimResult, estimator: str, p: float, max_tx: int) -> str:
@@ -244,7 +238,7 @@ def report_rows(report: ValidationReport) -> list[dict[str, Any]]:
                 "cycle_pass": point.cycle_pass,
             }
         )
-    return _finite(rows)
+    return _finite(rows, REPORT_FIELDS)
 
 
 def emit_report_csv(report: ValidationReport) -> str:

@@ -157,8 +157,10 @@ def _draws(link: LinkSpec, seed: int, n: int) -> Iterator[np.ndarray]:
 
 def _batch_stderr(batch_means: np.ndarray) -> float:
     b = batch_means.size
-    center = batch_means.mean()
-    return float(math.sqrt(float(((batch_means - center) ** 2).sum()) / (b * (b - 1))))
+    # Dividing by a power of two is exact; in (-2, 2) the sum and the squares cannot overflow.
+    scale = math.ldexp(0.5, math.frexp(float(np.abs(batch_means).max()))[1])
+    scaled = batch_means / scale
+    return math.sqrt(float(((scaled - scaled.mean()) ** 2).sum()) / (b * (b - 1))) * scale
 
 
 def _batch_cuts(first: int, c: int, warmup: int, width: int, batches: int) -> tuple[int, list[int]]:

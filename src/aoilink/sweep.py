@@ -51,8 +51,12 @@ __all__ = [
 # may expand; checked before allocating.
 MAX_GRID_POINTS = 1_000_000
 
+# The one format of every float in a label or a CSV cell (JSON carries floats
+# exactly): 9 significant digits, so a printed float parses back to the same text.
+_FLOAT_FORMAT = "{:.9g}"
+
 # The label suffix of a curve whose energies were divided by a normalizer.
-_DIVIDED_BY = " (energy/{:.9g})"
+_DIVIDED_BY = " (energy/" + _FLOAT_FORMAT + ")"
 
 
 def _check_size(points: int) -> None:
@@ -191,7 +195,7 @@ def _m_grid(spec: MSweep):
     and ``(cell index, M, age, sensing rate)`` rows."""
     cells = [(p, spec.energy.tx_energy, None) for p in spec.p_list]
     ms = sorted(spec.max_tx_list)
-    return cells, [(f"p={p:.9g}", [(j, m, *_age_and_rate(p, m)) for m in ms]) for j, p in enumerate(spec.p_list)]
+    return cells, [("p=" + _FLOAT_FORMAT.format(p), [(j, m, *_age_and_rate(p, m)) for m in ms]) for j, p in enumerate(spec.p_list)]
 
 
 def _power_grid(spec: PowerSweep):
@@ -245,7 +249,7 @@ def es_sweep(spec: EsSweep) -> list[TradeoffCurve]:
     for es in spec.es_list:
         normalizer = es + tx_ref
         _check_positive("normalizer", normalizer)
-        out += _curves(grid, es, normalizer, f"Es={es:.9g} ", _DIVIDED_BY.format(normalizer))
+        out += _curves(grid, es, normalizer, "Es=" + _FLOAT_FORMAT.format(es) + " ", _DIVIDED_BY.format(normalizer))
     return out
 
 

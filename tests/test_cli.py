@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import aoilink
 import aoilink.cli as cli
 import aoilink.validation as validation
-from aoilink.analytic import EnergyParams
+from aoilink.analytic import EnergyParams, FixedFailureLink, Policy
 from aoilink.cli import main, parse_float_list, parse_int_list
 from aoilink.cli import CliError
 from aoilink.output import (
@@ -26,13 +26,17 @@ from aoilink.output import (
     emit_csv,
     emit_json,
     emit_report_csv,
+    emit_report_json,
+    emit_result_csv,
+    emit_result_json,
     parse_csv,
     parse_json,
+    result_rows,
     rows_to_csv,
     rows_to_json,
 )
-from aoilink.simulator import SimResult
-from aoilink.sweep import MSweep, m_sweep, normalize_curve
+from aoilink.simulator import SimConfig, SimResult, run_cycle_sim, run_slot_sim
+from aoilink.sweep import MSweep, PowerSweep, m_sweep, normalize_curve, power_sweep
 from aoilink.validation import ValidationPoint, ValidationReport
 
 REF = ["--es", "4.02308", "--et", "4.02308"]
@@ -508,6 +512,55 @@ def test_simulate_huge_max_tx_exits_0(capsys, estimator):
     )
     assert code == 0, err
     assert csv_rows(out)[0]["M"] == str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--p", "0.4", "--es", "1", "--et", "1"],
+        ["sweep", "m", "--p", "0.4", "--es", "1", "--et", "1"],
+        ["sweep", "power", "--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "3", "--es", "4.02308",
+         *POWER_LINK],
+        ["validate", "--p", "0.4", "--slots", "2000"],
+        ["simulate", "--p", "0.4", "--es", "1", "--et", "1", "--horizon", "1000"],
+    ],
+    ids=["analytic", "sweep-m", "sweep-power", "validate", "simulate"],
+)
+# 2**1024 - 1 rounds up to 2**1024 as a float.
+@pytest.mark.parametrize("max_tx", [2**1024, 2**1024 - 1], ids=["2**1024", "2**1024-1"])
+def test_max_tx_past_the_float_range_exits_2(capsys, argv, max_tx):
+    code, out, err = run_cli(capsys, [*argv, "--M", str(max_tx)])
+    assert (code, out) == (2, "")
+    assert err.startswith("aoilink: error:") and err.count("\n") == 1
+    assert "past the float range" in err
+
+
+@pytest.mark.parametrize("es", [1e160, 1e-160])  # the squared deviations would overflow, or underflow
+@pytest.mark.parametrize("estimator", ["slot", "cycle"])
+def test_energy_stderr_scales_with_es(capsys, estimator, es):
+    def stderr_energy(es):
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--estimator", estimator, "--p", "0.5", "--M", "2", "--es", repr(es), "--et", "0",
+             "--horizon", "2000", "--format", "json"],
+        )
+        assert code == 0, err
+        return json.loads(out)[0]["stderr_energy"]
+
+    assert stderr_energy(es) / es == pytest.approx(stderr_energy(1.0), rel=1e-12, abs=0)
+
+
+# 100 one-slot batches: a seed where one batch senses has a deviation of 9.9e307, past 2**1023.
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("estimator", ["slot", "cycle"])
+def test_energy_stderr_near_the_largest_float(capsys, estimator, seed):
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--estimator", estimator, "--p", "0.99", "--M", "1000", "--es", "1e308", "--et", "0",
+         "--horizon", "112", "--seed", str(seed), "--format", "json"],
+    )
+    assert code == 0, err
+    assert 0 <= json.loads(out)[0]["stderr_energy"] < 1e308
 
 
 @pytest.mark.parametrize(
@@ -1094,6 +1147,60 @@ def test_report_pass_columns_round_trip_by_value():
     points = tuple(ValidationPoint(0.4, 2, 2.0, 3.0, result, result, *pair) for pair in verdicts)
     rows = parse_csv(emit_report_csv(ValidationReport(points, passed=False)))
     assert [(row["slot_pass"], row["cycle_pass"]) for row in rows] == verdicts
+
+
+def simulated_results():
+    cfg = SimConfig(FixedFailureLink(0.4), Policy(3), EnergyParams(4.02308, 4.02308), 7, 5000)
+    return {"slot": run_slot_sim(cfg), "cycle": run_cycle_sim(cfg)}
+
+
+def report_with_both_verdicts():
+    results = simulated_results()
+    verdicts = [(True, False), (False, True)]
+    points = tuple(ValidationPoint(0.4, 3, 2.0, 3.0, results["slot"], results["cycle"], *pair) for pair in verdicts)
+    return ValidationReport(points, passed=False)
+
+
+@pytest.mark.parametrize("estimator", ["slot", "cycle"])
+def test_result_round_trips_by_bytes(estimator):
+    result = simulated_results()[estimator]
+    text = emit_result_csv(result, estimator, 0.4, 3)
+    assert rows_to_csv(parse_csv(text), RESULT_FIELDS) == text
+    text = emit_result_json(result, estimator, 0.4, 3)
+    assert rows_to_json(parse_json(text), RESULT_FIELDS) == text
+
+
+def test_report_round_trips_by_bytes():
+    report = report_with_both_verdicts()
+    text = emit_report_csv(report)
+    assert rows_to_csv(parse_csv(text), REPORT_FIELDS) == text
+    # The JSON report is an object whose "points" are the rows.
+    text = emit_report_json(report)
+    payload = json.loads(text)
+    assert [(row["slot_pass"], row["cycle_pass"]) for row in payload["points"]] == [(True, False), (False, True)]
+    assert json.dumps(payload, indent=2) + "\n" == text
+
+
+def test_parse_csv_gives_each_column_its_declared_type():
+    declared = {
+        **dict.fromkeys(["label", "estimator"], str),
+        **dict.fromkeys(["M", "slots", "packets_generated", "successes", "seed"], int),
+        **dict.fromkeys(["slot_pass", "cycle_pass"], bool),
+    }
+    power = power_sweep(PowerSweep(2.0, 8.0, 3.0, (1, 3), 2.0, 20.0, 20.0, 4.02308, 2.1, 19.2308, 0.1))
+    curves = power + [normalize_curve(curve, 8.04616) for curve in power]
+    results = simulated_results()
+    tables = [
+        (emit_csv(curves), CURVE_FIELDS),
+        (rows_to_csv([*result_rows(results["slot"], "slot", 0.4, 3), *result_rows(results["cycle"], "cycle", 0.4, 3)],
+                     RESULT_FIELDS), RESULT_FIELDS),
+        (emit_report_csv(report_with_both_verdicts()), REPORT_FIELDS),
+    ]
+    for text, fields in tables:
+        rows = parse_csv(text)
+        for name in fields:
+            values = [row[name] for row in rows]
+            assert {type(value) for value in values if value is not None} == {declared.get(name, float)}, name
 
 
 def test_csv_and_json_carry_same_values():

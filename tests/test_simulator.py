@@ -261,6 +261,21 @@ def test_cycle_sim_single_tx_energy_near_largest_p():
     assert run_cycle_sim(cfg).avg_energy_est == pytest.approx(1.75, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "means, expected",
+    [
+        # The deviation 9.9e307 is past 2**1023; in units of 1e306 the squares sum to 99**2 + 99 = 9,900.
+        ([1e308] + [0.0] * 99, 1e306),
+        ([1e308] * 50 + [0.0] * 50, 5e307 / math.sqrt(99)),
+        ([-1e308, 1e308], 1e308),
+        ([1e-320, 0.0], 5e-321),  # subnormal means
+    ],
+    ids=["one-near-max", "half-near-max", "symmetric-max", "subnormal"],
+)
+def test_batch_stderr_at_the_ends_of_the_float_range(means, expected):
+    assert simulator._batch_stderr(np.array(means)) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_empirical_pmfs_match_analytic():
     p, max_tx, cycles = 0.4, 3, 200_000
     lengths, delivered, sensed = sample_cycles(

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from aoilink.analytic import (
     EnergyParams,
     FixedFailureLink,
     MetricPoint,
+    Policy,
     PowerModel,
     RayleighLink,
     avg_aoi,
@@ -95,6 +97,16 @@ def test_m_sweep_rejects_bad_specs():
         MSweep((1.0,), (1,), REF_ENERGY)
     with pytest.raises(ValueError):
         MSweep((0.4,), (0,), REF_ENERGY)
+
+
+# 2**1024 - 1 rounds up to 2**1024 as a float; int(float max) is the largest M accepted.
+@pytest.mark.parametrize("max_tx", [2**1024, 2**1024 - 1], ids=["2**1024", "2**1024-1"])
+def test_max_tx_past_the_float_range_is_rejected(max_tx):
+    with pytest.raises(ValueError, match="past the float range"):
+        Policy(max_tx)
+    with pytest.raises(ValueError, match="past the float range"):
+        MSweep((0.4,), (1, max_tx), REF_ENERGY)
+    assert Policy(int(sys.float_info.max)).max_tx == int(sys.float_info.max)
 
 
 def test_m_sweep_points_reproducible_standalone():
