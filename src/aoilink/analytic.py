@@ -180,6 +180,8 @@ def _check_p(p: float) -> None:
 
 
 def _check_max_tx(max_tx: int) -> None:
+    if not hasattr(type(max_tx), "__index__"):  # as operator.index: ints and numpy ints, not 2.5 or 3.0
+        raise ValueError(f"max_tx must be an integer, got {max_tx!r}")
     if max_tx < 1:
         raise ValueError(f"max_tx must be >= 1, got {max_tx}")
     if max_tx > sys.float_info.max:  # an int and a float compare exactly

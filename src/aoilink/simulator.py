@@ -321,8 +321,11 @@ def _cycle_chunks(link: LinkSpec, policy: Policy, seed: int, n: int):
         lengths = rng.geometric(success, min(_CHUNK, n - start))
         # No cycle of the chunk is longer than its longest, so a larger limit never binds.
         max_tx = min(policy.max_tx, int(lengths.max()))
-        abandoned = (lengths - 1) // max_tx  # packets that used all max_tx transmissions
-        yield lengths, lengths - abandoned * max_tx, abandoned + 1
+        sensed = lengths - 1
+        sensed //= max_tx  # packets that used all max_tx transmissions
+        delivered = lengths - sensed * max_tx
+        sensed += 1
+        yield lengths, delivered, sensed
 
 
 def sample_cycles(
@@ -356,15 +359,20 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
         first = prev = 0  # prev: delivered tx count of the cycle before the chunk
         for lengths, delivered, sensed in _cycle_chunks(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots):
             b0, cuts = cut(first, lengths.size)
-            prev_delivered = np.concatenate(([prev], delivered[:-1]))
-            top = max(int(lengths.max()), prev)  # bounds every length and delivered count
-            if 3 * top * top * lengths.size >= 2**63:  # int64 sums could wrap (p near 1)
-                lengths, prev_delivered, sensed = (x.astype(object) for x in (lengths, prev_delivered, sensed))
-            twice_areas = lengths * (2 * prev_delivered + lengths)  # each at most 3 * top**2
-            sums = (np.add.reduceat(x, cuts[:-1]).tolist() for x in (lengths, twice_areas, sensed))
-            yield b0, (*sums, np.diff(cuts).tolist())  # one delivery per cycle
-            prev = int(delivered[-1])
             first += lengths.size
+            twice_areas = np.concatenate(([prev], delivered[:-1]))  # each cycle's prev_delivered
+            top = max(int(lengths.max()), prev)  # bounds every length and delivered count
+            prev = int(delivered[-1])
+            if 3 * top * top * lengths.size >= 2**63:  # int64 sums could wrap (p near 1)
+                lengths, twice_areas, sensed = (x.astype(object) for x in (lengths, twice_areas, sensed))
+            twice_areas *= 2  # y * (2 * prev + y) in place, each at most 3 * top**2
+            twice_areas += lengths
+            twice_areas *= lengths
+            sums = [np.add.reduceat(x, cuts[:-1]).tolist() for x in (lengths, twice_areas, sensed)]
+            # Dropped here, each array is freed as _cycle_chunks replaces it, so malloc
+            # reuses its blocks; freeing them all before the next draw trims and refaults them.
+            del lengths, delivered, sensed, twice_areas
+            yield b0, (*sums, np.diff(cuts).tolist())  # one delivery per cycle
 
     return _estimate(cfg, chunks)
 

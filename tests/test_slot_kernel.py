@@ -119,6 +119,18 @@ CYCLE_ROUNDED = [
      (262347311647242, 262145, 262145)),
 ]
 
+# The same columns, plus which draw chunks are reduced in Python ints (object
+# dtype) because their doubled areas could pass 2**63. Recorded before the
+# cycle path computed its arrays in place.
+CYCLE_OBJECT = [
+    (0.999998, 3, 38, 3 * CHUNK + 2, CHUNK + 5, 10,
+     ("0x1.e6d4851771371p+18", "0x1.d555714bafd20p-1", "0x1.de3e4261e52cfp+10", "0x1.a4deedfd9b4f7p-29"),
+     (98172893736, 32724363438, 196610), [False, False, True, False]),
+    (1 - 1e-9, HUGE_M, 44, CHUNK + 3, 1, 10,
+     ("0x1.dcdd1aaa121cdp+30", "0x1.0000000abcdb4p-1", "0x1.119701e2e62fbp+23", "0x1.2e5b9965351f1p-38"),
+     (65536528595058, 65539, 65539), [True, True]),
+]
+
 # p, max_tx, seed, horizon, trace slots, sha256 of the CSV
 PINNED_TRACES = [
     (0.4, 3, 11, 2 * CHUNK + 3, None, "49aee286b6f421840db416218bc62be3b722c997102005e50cb8ef0f4a0c9bcb"),
@@ -170,6 +182,20 @@ def test_cycle_sim_rounded_sums_near_pinned(p, max_tx, seed, horizon, warmup, ba
     res = run_cycle_sim(config(p, max_tx, seed, horizon, warmup, batches))
     for got, want in zip(estimates(res), pinned):
         assert math.isclose(got, float.fromhex(want), rel_tol=1e-12, abs_tol=0.0)
+    assert (res.slots, res.packets_generated, res.successes) == counts
+
+
+@pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches, pinned, counts, object_chunks", CYCLE_OBJECT)
+def test_cycle_sim_object_path_pinned(p, max_tx, seed, horizon, warmup, batches, pinned, counts, object_chunks):
+    cfg = config(p, max_tx, seed, horizon, warmup, batches)
+    prev, paths = 0, []
+    for lengths, delivered, _ in simulator._cycle_chunks(cfg.link, cfg.policy, seed, horizon):
+        top = max(int(lengths.max()), prev)  # run_cycle_sim's guard
+        paths.append(3 * top * top * lengths.size >= 2**63)
+        prev = int(delivered[-1])
+    assert paths == object_chunks
+    res = run_cycle_sim(cfg)
+    assert tuple(v.hex() for v in estimates(res)) == pinned
     assert (res.slots, res.packets_generated, res.successes) == counts
 
 
@@ -251,6 +277,28 @@ def test_results_do_not_depend_on_the_chunk_size(cfg):
             mp.setattr(simulator, "_CHUNK", chunk)
             results.append((run_slot_sim(cfg), run_cycle_sim(cfg)))
     assert results[0] == results[1] == results[2]
+
+
+@settings(deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1 - 2**-53),
+    st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=HUGE_M)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=1, max_value=3 << 10),
+)
+def test_sample_cycles_is_the_concatenation_of_fresh_chunks(p, max_tx, seed, n):
+    # A copy taken as each chunk is yielded keeps its values if a later chunk
+    # reuses its arrays; sample_cycles, which collects every chunk before it
+    # concatenates, would then repeat the last one.
+    link, policy = FixedFailureLink(p), Policy(max_tx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_CHUNK", 1 << 10)
+        chunks = [tuple(x.copy() for x in chunk) for chunk in simulator._cycle_chunks(link, policy, seed, n)]
+        sampled = sample_cycles(link, policy, seed, n)
+    lengths = np.random.default_rng(seed).geometric(1 - p, n).tolist()  # one draw
+    reference = (lengths, [(y - 1) % max_tx + 1 for y in lengths], [-(-y // max_tx) for y in lengths])
+    for got, chunked, want in zip(sampled, zip(*chunks), reference):
+        assert got.tolist() == np.concatenate(chunked).tolist() == want
 
 
 @settings(deadline=None)

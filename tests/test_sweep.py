@@ -109,6 +109,28 @@ def test_max_tx_past_the_float_range_is_rejected(max_tx):
     assert Policy(int(sys.float_info.max)).max_tx == int(sys.float_info.max)
 
 
+@pytest.mark.parametrize("max_tx", [2.5, 3.0, "3", None], ids=["2.5", "3.0", "str", "None"])
+def test_non_integral_max_tx_is_rejected(max_tx):
+    # An M of 2.5 used to be evaluated, and emitted as an M cell parse_csv rejects.
+    with pytest.raises(ValueError, match="must be an integer"):
+        Policy(max_tx)
+    with pytest.raises(ValueError, match="must be an integer"):
+        avg_aoi(0.4, max_tx)
+    with pytest.raises(ValueError, match="must be an integer"):
+        avg_energy(0.4, max_tx, REF_ENERGY)
+    with pytest.raises(ValueError, match="must be an integer"):
+        m_sweep(MSweep((0.4,), (3, max_tx), REF_ENERGY))
+
+
+def test_numpy_and_bool_max_tx_are_accepted():
+    np = pytest.importorskip("numpy")
+    for max_tx in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert Policy(max_tx).max_tx == 3
+        assert avg_aoi(0.4, max_tx) == avg_aoi(0.4, 3)
+        assert m_sweep(MSweep((0.4,), (max_tx,), REF_ENERGY)) == m_sweep(MSweep((0.4,), (3,), REF_ENERGY))
+    assert avg_aoi(0.4, True) == avg_aoi(0.4, 1)  # operator.index(True) == 1
+
+
 def test_m_sweep_points_reproducible_standalone():
     spec = MSweep((0.1, 0.4), (1, 3, 6), REF_ENERGY)
     for curve in m_sweep(spec):
