@@ -1,10 +1,10 @@
 """CSV and JSON emitters for curves, simulation results, and validation
 reports, plus the parsers that make the emitted artifacts round-trip.
 
-CSV floats are printed with 9 significant digits and JSON floats exactly, so
-parsing an emitted file and re-emitting it reproduces the bytes exactly. Missing
-fields are empty in CSV and null in JSON. The row builders reject a
-non-finite value, so no emitted file carries ``nan`` or ``inf``.
+CSV floats are printed with 9 significant digits and JSON floats exactly, so an
+emitted file parses and re-emits to the same bytes. Missing fields are empty in
+CSV and null in JSON; a non-finite value is rejected, never printed. Curves render
+from one row format per curve, byte-equal to ``rows_to_csv``/``rows_to_json`` over ``curve_rows``.
 """
 
 from __future__ import annotations
@@ -157,14 +157,39 @@ def rows_to_json(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURV
     return "[\n  {\n    " + joined + "\n  }\n]\n" if rows else "[]\n"
 
 
+def _curve_columns(curves: Sequence[TradeoffCurve]) -> list[tuple[str, str, list[tuple[Any, ...]]]]:
+    """Per curve that has points: its label, the energy column it leaves empty, and its p, M,
+    pt_dbm, energy and age columns. A float cell that is not finite raises as in curve_rows."""
+    out = [(curve.label, "avg_energy" if curve.normalizer is not None else "avg_energy_normalized",
+            list(zip(*[(pt.p, pt.max_tx, pt.tx_power_dbm, pt.avg_energy, pt.avg_aoi) for pt in curve.points])))
+           for curve in curves if curve.points]
+    if not all(all(map(math.isfinite, [v for v in column if v is not None]))
+               for *_, (p, _m, dbm, energy, aoi) in out for column in (p, dbm, energy, aoi)):
+        curve_rows(curves)  # raises on the first cell that is not finite, in row order
+    return out
+
+
 def emit_csv(curves: Sequence[TradeoffCurve]) -> str:
-    """Curves as CSV text: header row, then one row per point in curve order."""
-    return rows_to_csv(curve_rows(curves))
+    """``rows_to_csv(curve_rows(curves))``, each curve's rows from one row format."""
+    out = [rows_to_csv(())]
+    for label, empty, columns in _curve_columns(curves):
+        head = rows_to_csv([{"label": label}], ("label", "p")).partition("\n")[2][:-1]  # the label cell, a comma
+        row = ",".join("" if name == empty else "{}" for name in CURVE_FIELDS[1:]) + "\n"
+        shows = [_COLUMN_TYPES.get(name, _FLOAT)[0] for name in CURVE_FIELDS[1:] if name != empty]
+        cells = [["" if v is None else show(v) for v in column] for show, column in zip(shows, columns)]
+        out.append(head + head.join(map(row.format, *cells)))
+    return "".join(out)
 
 
 def emit_json(curves: Sequence[TradeoffCurve]) -> str:
-    """Curves as a JSON array of objects mirroring the CSV columns."""
-    return rows_to_json(curve_rows(curves))
+    """``rows_to_json(curve_rows(curves))``, each curve's rows from one row format."""
+    sep, texts = _ROW_ENCODER.item_separator, []
+    for label, empty, columns in _curve_columns(curves):
+        head = '  {\n    "label": ' + _ROW_ENCODER.encode(label) + sep
+        row = sep.join(f'"{name}": ' + ("null" if name == empty else "{}") for name in CURVE_FIELDS[1:]) + "\n  }}"
+        cells = [_ROW_ENCODER.encode(column)[1:-1].split(sep) for column in columns]  # no scalar's text holds a newline
+        texts.append(head + (",\n" + head).join(map(row.format, *cells)))
+    return "[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n"
 
 
 def parse_csv(text: str) -> list[dict[str, Any]]:

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 import aoilink
 import aoilink.cli as cli
 import aoilink.validation as validation
-from aoilink.analytic import EnergyParams, FixedFailureLink, Policy
+from aoilink.analytic import EnergyParams, FixedFailureLink, MetricPoint, Policy
 from aoilink.cli import main, parse_float_list, parse_int_list
 from aoilink.cli import CliError
 from aoilink.output import (
     CURVE_FIELDS,
     REPORT_FIELDS,
     RESULT_FIELDS,
+    curve_rows,
     emit_csv,
     emit_json,
     emit_report_csv,
@@ -36,7 +37,7 @@ from aoilink.output import (
     rows_to_json,
 )
 from aoilink.simulator import SimConfig, SimResult, run_cycle_sim, run_slot_sim
-from aoilink.sweep import MSweep, PowerSweep, m_sweep, normalize_curve, power_sweep
+from aoilink.sweep import MSweep, PowerSweep, TradeoffCurve, m_sweep, normalize_curve, power_sweep
 from aoilink.validation import ValidationPoint, ValidationReport
 
 REF = ["--es", "4.02308", "--et", "4.02308"]
@@ -1253,9 +1254,59 @@ def test_rows_to_json_equals_indented_dumps(rows, fields):
     assert rows_to_json(rows, fields) == json.dumps(ordered, indent=2) + "\n"
 
 
+@st.composite
+def curve_lists(draw):
+    """Curves of drawn points: normalized or not, pt_dbm None, a float or mixed
+    within a curve, M up to 2**70, and in some lists non-finite float cells."""
+    floats = draw(st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), st.floats()]))
+    curves = []
+    for _ in range(draw(st.integers(0, 3))):
+        dbm = draw(st.sampled_from([st.none(), floats, st.none() | floats]))
+        point = st.builds(MetricPoint, floats, st.integers(1, 2**70), floats, floats, dbm)
+        curves.append(TradeoffCurve(draw(st.text()), draw(st.lists(point, max_size=5)),
+                                    draw(st.none() | st.floats(0.1, 10.0))))
+    return curves
+
+
+def labelled(label):
+    """An unnormalized and a normalized curve named ``label``, pt_dbm mixed."""
+    points = (MetricPoint(0.4, 3, 2.5, 1.25), MetricPoint(0.1, 2**70, 1.5, 3.0, -3.5))
+    return [TradeoffCurve(label, points), TradeoffCurve(label, points, 2.0)]
+
+
+def outcome(emit, curves):
+    """The emitted text, or the message of the ValueError raised instead."""
+    try:
+        return emit(curves)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(deadline=None)
+@given(curve_lists())
+@example([])
+@example([TradeoffCurve("empty", ())])
+@example(labelled(""))
+@example(labelled("a,b"))
+@example(labelled('q"x'))
+@example(labelled("50%"))
+@example(labelled("{}"))
+@example(labelled("l\nm"))
+@example(labelled("\r"))
+@example(labelled("Es=1 \u00b5J \u2206 \U0001f4e1"))
+# Non-finite cells in two columns: the age of the first row is reported, though the
+# fast check meets the second row's p first.
+@example([TradeoffCurve("x", (MetricPoint(0.4, 1, math.nan, 1.0), MetricPoint(math.inf, 1, 1.0, 1.0, -math.inf)))])
+def test_curve_emitters_equal_the_row_path(curves):
+    assert outcome(emit_csv, curves) == outcome(lambda c: rows_to_csv(curve_rows(c)), curves)
+    assert outcome(emit_json, curves) == outcome(lambda c: rows_to_json(curve_rows(c)), curves)
+
+
 # ---------------------------------------------------------------------------
 # Output digests of the benchmark's three sweep calls, as emitted by the
-# all-pairs Pareto filter and json.dumps(indent=2)
+# all-pairs Pareto filter and json.dumps(indent=2), and of the two curve
+# shapes they leave out (an unnormalized and a normalized JSON curve with
+# pt_dbm null), as emitted through row dicts (rows_to_json over curve_rows)
 # ---------------------------------------------------------------------------
 
 POWER_GRID = ["--dbm-min", "2", "--dbm-max", "20", "--dbm-step", "0.05", "--M", "1..8", *POWER_LINK]
@@ -1272,8 +1323,13 @@ P_GRID = ",".join(f"{(j + 0.5) / 101:.6f}" for j in range(100))
          2625212, "90151a6e70cb7eb23e01ce80f10756481fdd2500c6a2ce33fca19abec29b3db4"),
         (["sweep", "m", "--p", P_GRID, "--M", "1..100", *REF],
          463289, "05cd31342d55401e85b1d71b88e70f97d1772284b0a5c87256f49e69e97e7a39"),
+        (["sweep", "m", "--format", "json", "--p", P_GRID, "--M", "1..100", *REF],
+         1918718, "8da7ed4991ff296027d5f01c03bf1a27a1443d1bc7614d35c3557b39caf7cd04"),
+        (["sweep", "es", "--base", "m", "--format", "json", "--es-list", "0,2.01154,4.02308,8.04616",
+          "--p", P_GRID, "--M", "1..25", "--et", "4.02308"],
+         2160446, "088873650fe3eacae4da3918b35bdd29f0b16f2042ee96926bac2bed581c764c"),
     ],
-    ids=["power-pareto-json", "es-power-json", "m-csv"],
+    ids=["power-pareto-json", "es-power-json", "m-csv", "m-json", "es-m-json"],
 )
 def test_sweep_output_digest(capsys, argv, size, digest):
     code, out, _ = run_cli(capsys, argv)
