@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "FixedFailureLink",
@@ -119,8 +119,7 @@ class EnergyParams:
         _check_nonnegative("tx energy", self.tx_energy)
 
 
-@dataclass(frozen=True)
-class MetricPoint:
+class MetricPoint(NamedTuple):
     """One (average energy, average age) evaluation of the closed forms."""
 
     p: float

@@ -3,8 +3,9 @@ reports, plus the parsers that make the emitted artifacts round-trip.
 
 CSV floats are printed with 9 significant digits and JSON floats exactly, so an
 emitted file parses and re-emits to the same bytes. Missing fields are empty in
-CSV and null in JSON; a non-finite value is rejected, never printed. Curves render
-from one row format per curve, byte-equal to ``rows_to_csv``/``rows_to_json`` over ``curve_rows``.
+CSV and null in JSON; a non-finite value is rejected, never printed. The curve
+emitters print each distinct cell of a column once per call, and their output stays
+byte-equal to ``rows_to_csv``/``rows_to_json`` over ``curve_rows``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import csv
 import io
 import json
 import math
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .sweep import _FLOAT_FORMAT, TradeoffCurve
 
@@ -157,39 +159,52 @@ def rows_to_json(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURV
     return "[\n  {\n    " + joined + "\n  }\n]\n" if rows else "[]\n"
 
 
-def _curve_columns(curves: Sequence[TradeoffCurve]) -> list[tuple[str, str, list[tuple[Any, ...]]]]:
-    """Per curve that has points: its label, the energy column it leaves empty, and its p, M,
-    pt_dbm, energy and age columns. A float cell that is not finite raises as in curve_rows."""
-    out = [(curve.label, "avg_energy" if curve.normalizer is not None else "avg_energy_normalized",
-            list(zip(*[(pt.p, pt.max_tx, pt.tx_power_dbm, pt.avg_energy, pt.avg_aoi) for pt in curve.points])))
-           for curve in curves if curve.points]
-    if not all(all(map(math.isfinite, [v for v in column if v is not None]))
-               for *_, (p, _m, dbm, energy, aoi) in out for column in (p, dbm, energy, aoi)):
-        curve_rows(curves)  # raises on the first cell that is not finite, in row order
+def _curve_rows(curves: Sequence[TradeoffCurve], show: Callable[[str, Sequence[Any]], list[str]],
+                head: Callable[[str], str], key: Callable[[str], str], null: str, tail: str) -> list[str]:
+    """Per curve that has points, the text of its rows: each row is ``head(label)``, then per
+    field ``key(name)`` and the cell's text (``null`` in the energy column the curve leaves
+    empty), then ``tail``. ``show(name, values)`` prints a column's values: once over its
+    distinct values in all the curves, unless the column holds a zero or mixes types, whose
+    equal keys print apart (0.0 and -0.0; 1, 1.0 and True). A float cell that is not finite
+    raises as in curve_rows."""
+    curves, columns, out = [curve for curve in curves if curve.points], [], []
+    for name, cells in zip(("p", "M", "avg_aoi", "avg_energy", "pt_dbm"), zip(*[zip(*c.points) for c in curves])):
+        distinct = dict.fromkeys(chain.from_iterable(cells))
+        if name != "M" and not all(map(math.isfinite, [v for v in distinct if v is not None])):
+            curve_rows(curves)  # raises on the first cell that is not finite, in row order
+        if 0 in distinct or len(set(map(type, chain.from_iterable(cells))) - {type(None)}) > 1:
+            columns.append([show(name, column) for column in cells])
+        else:
+            text = dict(zip(distinct, show(name, list(distinct)))).__getitem__
+            columns.append([list(map(text, column)) for column in cells])
+    for curve, (p, m, aoi, energy, dbm) in zip(curves, zip(*columns)):
+        e, n, a = key("avg_energy"), key("avg_energy_normalized"), key("avg_aoi")
+        gaps = (e, n + null + a) if curve.normalizer is None else (e + null + n, a)
+        g0, g1, g2, g3, g4, g5 = map(repeat, (head(curve.label) + key("p"), key("M"), key("pt_dbm"), *gaps, tail))
+        out.append("".join(chain.from_iterable(zip(g0, p, g1, m, g2, dbm, g3, energy, g4, aoi, g5))))
     return out
 
 
+def _show_csv(name: str, values: Sequence[Any]) -> list[str]:
+    show = _COLUMN_TYPES.get(name, _FLOAT)[0]
+    return ["" if value is None else show(value) for value in values]
+
+
 def emit_csv(curves: Sequence[TradeoffCurve]) -> str:
-    """``rows_to_csv(curve_rows(curves))``, each curve's rows from one row format."""
-    out = [rows_to_csv(())]
-    for label, empty, columns in _curve_columns(curves):
-        head = rows_to_csv([{"label": label}], ("label", "p")).partition("\n")[2][:-1]  # the label cell, a comma
-        row = ",".join("" if name == empty else "{}" for name in CURVE_FIELDS[1:]) + "\n"
-        shows = [_COLUMN_TYPES.get(name, _FLOAT)[0] for name in CURVE_FIELDS[1:] if name != empty]
-        cells = [["" if v is None else show(v) for v in column] for show, column in zip(shows, columns)]
-        out.append(head + head.join(map(row.format, *cells)))
-    return "".join(out)
+    """``rows_to_csv(curve_rows(curves))``, each distinct cell of a column printed once."""
+    def label(text: str) -> str:  # the label cell, quoted as in a row
+        return rows_to_csv([{"label": text}], ("label", "p")).partition("\n")[2][:-2]
+    return "".join([rows_to_csv(()), *_curve_rows(curves, _show_csv, label, lambda name: ",", "", "\n")])
 
 
 def emit_json(curves: Sequence[TradeoffCurve]) -> str:
-    """``rows_to_json(curve_rows(curves))``, each curve's rows from one row format."""
-    sep, texts = _ROW_ENCODER.item_separator, []
-    for label, empty, columns in _curve_columns(curves):
-        head = '  {\n    "label": ' + _ROW_ENCODER.encode(label) + sep
-        row = sep.join(f'"{name}": ' + ("null" if name == empty else "{}") for name in CURVE_FIELDS[1:]) + "\n  }}"
-        cells = [_ROW_ENCODER.encode(column)[1:-1].split(sep) for column in columns]  # no scalar's text holds a newline
-        texts.append(head + (",\n" + head).join(map(row.format, *cells)))
-    return "[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n"
+    """``rows_to_json(curve_rows(curves))``, each distinct cell of a column printed once."""
+    sep = _ROW_ENCODER.item_separator  # no scalar's text holds a newline, so sep splits the items
+    texts = _curve_rows(curves, lambda name, values: _ROW_ENCODER.encode(values)[1:-1].split(sep),
+                        lambda label: '  {\n    "label": ' + _ROW_ENCODER.encode(label),
+                        (sep + '"{}": ').format, "null", "\n  },\n")
+    # The last row takes no comma.
+    return "".join(["[\n", *texts[:-1], texts[-1][:-2], "\n]\n"]) if texts else "[]\n"
 
 
 def parse_csv(text: str) -> list[dict[str, Any]]:

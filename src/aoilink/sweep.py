@@ -260,10 +260,7 @@ def normalize_curve(curve: TradeoffCurve, normalizer: float) -> TradeoffCurve:
     so repeated normalizations compose.
     """
     _check_positive("normalizer", normalizer)
-    points = tuple(
-        MetricPoint(pt.p, pt.max_tx, pt.avg_aoi, pt.avg_energy / normalizer, pt.tx_power_dbm)
-        for pt in curve.points
-    )
+    points = tuple(pt._replace(avg_energy=pt.avg_energy / normalizer) for pt in curve.points)
     total = normalizer if curve.normalizer is None else curve.normalizer * normalizer
     return TradeoffCurve(curve.label + _DIVIDED_BY.format(normalizer), points, total)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aoilink.analytic import (
     EnergyParams,
     FixedFailureLink,
+    MetricPoint,
     PowerModel,
     RayleighLink,
     avg_aoi,
@@ -177,6 +178,27 @@ def test_evaluate_packs_provenance():
     assert point.max_tx == 6
     assert point.avg_aoi == avg_aoi(0.4, 6)
     assert point.avg_energy == avg_energy(0.4, 6, e)
+
+
+def test_metric_point_fields_order_and_default():
+    assert MetricPoint._fields == ("p", "max_tx", "avg_aoi", "avg_energy", "tx_power_dbm")
+    assert MetricPoint._field_defaults == {"tx_power_dbm": None}
+    assert MetricPoint(0.4, 3, 2.5, 1.25).tx_power_dbm is None
+    assert MetricPoint.__doc__ == "One (average energy, average age) evaluation of the closed forms."
+
+
+def test_metric_point_is_an_immutable_value():
+    point = MetricPoint(0.4, 3, 2.5, 1.25, -3.5)
+    with pytest.raises(AttributeError):
+        point.avg_aoi = 1.0
+    p, max_tx, aoi, energy, dbm = point
+    assert (p, max_tx, aoi, energy, dbm) == (0.4, 3, 2.5, 1.25, -3.5)
+    assert point == (0.4, 3, 2.5, 1.25, -3.5) == MetricPoint(0.4, 3, 2.5, 1.25, -3.5)
+    assert point != MetricPoint(0.4, 3, 2.5, 1.25)
+    assert hash(point) == hash(MetricPoint(0.4, 3, 2.5, 1.25, -3.5)) == hash((0.4, 3, 2.5, 1.25, -3.5))
+    assert len({point, MetricPoint(0.4, 3, 2.5, 1.25, -3.5)}) == 1
+    moved = point._replace(avg_energy=2.5, tx_power_dbm=None)
+    assert moved == MetricPoint(0.4, 3, 2.5, 2.5) and point.avg_energy == 1.25
 
 
 # ---------------------------------------------------------------------------

@@ -1257,12 +1257,22 @@ def test_rows_to_json_equals_indented_dumps(rows, fields):
 @st.composite
 def curve_lists(draw):
     """Curves of drawn points: normalized or not, pt_dbm None, a float or mixed
-    within a curve, M up to 2**70, and in some lists non-finite float cells."""
+    within a curve, M up to 2**70, and in some lists non-finite float cells. Each
+    column draws from a few values shared by every curve of the list, so cells
+    repeat across curves; a column's values may include a pair that compares
+    equal but prints apart: 0.0 and -0.0, 0 and 0.0, 1 and 1.0, or in M True and 1."""
     floats = draw(st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), st.floats()]))
+
+    def pool(values, pairs):
+        shared = draw(st.lists(values, max_size=3)) + list(draw(st.sampled_from(pairs)))
+        return st.sampled_from(shared or [draw(values)])
+
+    equal = [(), (0.0, -0.0), (0, 0.0), (1, 1.0)]
+    dbm = draw(st.sampled_from([st.none(), floats, st.none() | floats]))
+    point = st.builds(MetricPoint, pool(floats, equal), pool(st.integers(1, 2**70), [(), (True, 1)]),
+                      pool(floats, equal), pool(floats, equal), pool(dbm, equal))
     curves = []
     for _ in range(draw(st.integers(0, 3))):
-        dbm = draw(st.sampled_from([st.none(), floats, st.none() | floats]))
-        point = st.builds(MetricPoint, floats, st.integers(1, 2**70), floats, floats, dbm)
         curves.append(TradeoffCurve(draw(st.text()), draw(st.lists(point, max_size=5)),
                                     draw(st.none() | st.floats(0.1, 10.0))))
     return curves
@@ -1297,6 +1307,9 @@ def outcome(emit, curves):
 # Non-finite cells in two columns: the age of the first row is reported, though the
 # fast check meets the second row's p first.
 @example([TradeoffCurve("x", (MetricPoint(0.4, 1, math.nan, 1.0), MetricPoint(math.inf, 1, 1.0, 1.0, -math.inf)))])
+# Equal cells that print apart, in two curves: p 0.0 and -0.0, and M True beside 1.
+@example([TradeoffCurve("a", (MetricPoint(0.0, 1, 1.5, 2.0),)), TradeoffCurve("b", (MetricPoint(-0.0, 1, 1.5, 2.0),))])
+@example([TradeoffCurve("a", (MetricPoint(0.4, True, 1.5, 2.0),)), TradeoffCurve("b", (MetricPoint(0.4, 1, 1.5, 2.0),))])
 def test_curve_emitters_equal_the_row_path(curves):
     assert outcome(emit_csv, curves) == outcome(lambda c: rows_to_csv(curve_rows(c)), curves)
     assert outcome(emit_json, curves) == outcome(lambda c: rows_to_json(curve_rows(c)), curves)
@@ -1328,8 +1341,13 @@ P_GRID = ",".join(f"{(j + 0.5) / 101:.6f}" for j in range(100))
         (["sweep", "es", "--base", "m", "--format", "json", "--es-list", "0,2.01154,4.02308,8.04616",
           "--p", P_GRID, "--M", "1..25", "--et", "4.02308"],
          2160446, "088873650fe3eacae4da3918b35bdd29f0b16f2042ee96926bac2bed581c764c"),
+        # p 0 and -0 print apart, as do their curves' labels.
+        (["sweep", "m", "--p", "0,-0.0,0.25", "--M", "1,2", "--es", "1", "--et", "1"],
+         186, "47308cbded9535aa98c0824ba24a748ba5a417c3e30be45240275ae26313eea6"),
+        (["sweep", "m", "--format", "json", "--p", "0,-0.0,0.25", "--M", "1,2", "--es", "1", "--et", "1"],
+         956, "58948f2398393972d246667c1a23d7be36369def7604b319f98d29c1affe02ac"),
     ],
-    ids=["power-pareto-json", "es-power-json", "m-csv", "m-json", "es-m-json"],
+    ids=["power-pareto-json", "es-power-json", "m-csv", "m-json", "es-m-json", "m-zero-csv", "m-zero-json"],
 )
 def test_sweep_output_digest(capsys, argv, size, digest):
     code, out, _ = run_cli(capsys, argv)
