@@ -18,9 +18,9 @@ Everything here is pure and stateless; safe to call from concurrent threads.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from collections import namedtuple
 
 __all__ = [
     "FixedFailureLink",
@@ -50,83 +50,87 @@ __all__ = [
 _ONE_BELOW = math.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class FixedFailureLink:
+class _Checked:
+    """Base of a checked named tuple: ``_make``, and so ``_replace``, builds
+    through the type's own ``__new__`` and its checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class FixedFailureLink(_Checked, namedtuple("FixedFailureLink", "p")):
     """Channel described directly by its per-slot failure probability."""
 
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_p(self.p)
+    def __new__(cls, p: float):
+        _check_p(p)
+        return tuple.__new__(cls, (p,))
 
 
-@dataclass(frozen=True)
-class RayleighLink:
+class RayleighLink(_Checked, namedtuple("RayleighLink", "rate noise_power tx_power")):
     """Rayleigh-fading channel; failure probability is the outage probability."""
 
-    rate: float  # spectral efficiency, bits/s/Hz
-    noise_power: float  # watts
-    tx_power: float  # watts
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_nonnegative("rate", self.rate)
-        _check_positive("noise power", self.noise_power)
-        _check_positive("transmit power", self.tx_power)
-
-
-LinkSpec = Union[FixedFailureLink, RayleighLink]
+    def __new__(cls, rate: float, noise_power: float, tx_power: float):  # bits/s/Hz, watts, watts
+        _check_nonnegative("rate", rate)
+        _check_positive("noise power", noise_power)
+        _check_positive("transmit power", tx_power)
+        return tuple.__new__(cls, (rate, noise_power, tx_power))
 
 
-@dataclass(frozen=True)
-class PowerModel:
+LinkSpec = FixedFailureLink | RayleighLink
+
+
+class PowerModel(_Checked, namedtuple("PowerModel", "circuit_power inv_drain_eff tx_power max_power")):
     """Transmitter power consumption: circuit power plus amplifier drain."""
 
-    circuit_power: float  # watts
-    inv_drain_eff: float  # inverse drain efficiency of the power amplifier
-    tx_power: float  # watts
-    max_power: float  # watts
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_nonnegative("circuit power", self.circuit_power)
-        _check_positive("inverse drain efficiency", self.inv_drain_eff)
-        if not 0.0 < self.tx_power <= self.max_power < math.inf:
+    # Powers in watts; inv_drain_eff is the inverse drain efficiency of the power amplifier.
+    def __new__(cls, circuit_power: float, inv_drain_eff: float, tx_power: float, max_power: float):
+        _check_nonnegative("circuit power", circuit_power)
+        _check_positive("inverse drain efficiency", inv_drain_eff)
+        if not 0.0 < tx_power <= max_power < math.inf:
             raise ValueError(
                 f"transmit power must satisfy 0 < Pt <= Pmax, both finite, "
-                f"got Pt={self.tx_power}, Pmax={self.max_power}"
+                f"got Pt={tx_power}, Pmax={max_power}"
             )
+        return tuple.__new__(cls, (circuit_power, inv_drain_eff, tx_power, max_power))
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(_Checked, namedtuple("Policy", "max_tx")):
     """Retransmission policy: each packet is transmitted at most max_tx times."""
 
-    max_tx: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_max_tx(self.max_tx)
+    def __new__(cls, max_tx: int):
+        _check_max_tx(max_tx)
+        return tuple.__new__(cls, (operator.index(max_tx),))
 
 
-@dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(_Checked, namedtuple("EnergyParams", "sense_energy tx_energy")):
     """Per-event energies: one sensing charge per generated packet, one
     transmit charge per slot."""
 
-    sense_energy: float  # joules per sensing event
-    tx_energy: float  # joules per transmission slot
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_nonnegative("sense energy", self.sense_energy)
-        _check_nonnegative("tx energy", self.tx_energy)
+    def __new__(cls, sense_energy: float, tx_energy: float):  # joules per sensing event, per transmission slot
+        _check_nonnegative("sense energy", sense_energy)
+        _check_nonnegative("tx energy", tx_energy)
+        return tuple.__new__(cls, (sense_energy, tx_energy))
 
 
-class MetricPoint(NamedTuple):
+class MetricPoint(namedtuple("MetricPoint", "p max_tx avg_aoi avg_energy tx_power_dbm", defaults=(None,))):
     """One (average energy, average age) evaluation of the closed forms."""
 
-    p: float
-    max_tx: int
-    avg_aoi: float  # slots
-    avg_energy: float  # joules per slot
-    tx_power_dbm: float | None = None  # known for a Rayleigh budget or a power sweep
+    # avg_aoi in slots, avg_energy in joules per slot; tx_power_dbm is known for a
+    # Rayleigh budget or a power sweep.
+    __slots__ = ()
 
 
 def failure_prob(link: LinkSpec) -> float:
@@ -342,4 +346,4 @@ def evaluate(
     """Evaluate one parameter combination into a MetricPoint."""
     p = failure_prob(link)
     age, rate = _age_and_rate(p, max_tx)
-    return MetricPoint(p, max_tx, age, rate * energy.sense_energy + energy.tx_energy, tx_power_dbm)
+    return MetricPoint(p, operator.index(max_tx), age, rate * energy.sense_energy + energy.tx_energy, tx_power_dbm)

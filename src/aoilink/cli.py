@@ -27,8 +27,8 @@ import contextlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable
 
 from .analytic import (
     EnergyParams,

@@ -14,14 +14,10 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable, Mapping, Sequence
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .sweep import _FLOAT_FORMAT, TradeoffCurve
-
-if TYPE_CHECKING:  # annotations only: importing these loads numpy
-    from .simulator import SimResult
-    from .validation import ValidationReport
 
 __all__ = [
     "CURVE_FIELDS",
@@ -98,7 +94,7 @@ _COLUMN_TYPES = {
 }
 
 
-def _finite(rows: list[dict[str, Any]], fields: Sequence[str]) -> list[dict[str, Any]]:
+def _finite(rows: list[dict[str, object]], fields: Sequence[str]) -> list[dict[str, object]]:
     """``rows``, once every cell of their float columns is checked to be finite."""
     floats = [name for name in fields if name not in _COLUMN_TYPES]
     for row in rows:
@@ -109,7 +105,7 @@ def _finite(rows: list[dict[str, Any]], fields: Sequence[str]) -> list[dict[str,
     return rows
 
 
-def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, Any]]:
+def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, object]]:
     """Flatten curves into row dicts with the CURVE_FIELDS keys.
 
     Unnormalized curves fill ``avg_energy``; normalized curves fill
@@ -133,7 +129,7 @@ def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, Any]]:
     return _finite(rows, CURVE_FIELDS)
 
 
-def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
+def rows_to_csv(rows: Sequence[Mapping[str, object]], fields: Sequence[str] = CURVE_FIELDS) -> str:
     printers = [(name, _COLUMN_TYPES.get(name, _FLOAT)[0]) for name in fields]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -148,7 +144,7 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 
 
-def rows_to_json(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURVE_FIELDS) -> str:
+def rows_to_json(rows: Sequence[Mapping[str, object]], fields: Sequence[str] = CURVE_FIELDS) -> str:
     """The text of ``json.dumps(rows, indent=2) + "\\n"``, rows keyed by ``fields`` (nonempty)."""
     fields = list(fields)
     if any(type(row) is not dict or list(row) != fields for row in rows):
@@ -159,7 +155,7 @@ def rows_to_json(rows: Sequence[Mapping[str, Any]], fields: Sequence[str] = CURV
     return "[\n  {\n    " + joined + "\n  }\n]\n" if rows else "[]\n"
 
 
-def _curve_rows(curves: Sequence[TradeoffCurve], show: Callable[[str, Sequence[Any]], list[str]],
+def _curve_rows(curves: Sequence[TradeoffCurve], show: Callable[[str, Sequence[object]], list[str]],
                 head: Callable[[str], str], key: Callable[[str], str], null: str, tail: str) -> list[str]:
     """Per curve that has points, the text of its rows: each row is ``head(label)``, then per
     field ``key(name)`` and the cell's text (``null`` in the energy column the curve leaves
@@ -185,7 +181,7 @@ def _curve_rows(curves: Sequence[TradeoffCurve], show: Callable[[str, Sequence[A
     return out
 
 
-def _show_csv(name: str, values: Sequence[Any]) -> list[str]:
+def _show_csv(name: str, values: Sequence[object]) -> list[str]:
     show = _COLUMN_TYPES.get(name, _FLOAT)[0]
     return ["" if value is None else show(value) for value in values]
 
@@ -207,7 +203,7 @@ def emit_json(curves: Sequence[TradeoffCurve]) -> str:
     return "".join(["[\n", *texts[:-1], texts[-1][:-2], "\n]\n"]) if texts else "[]\n"
 
 
-def parse_csv(text: str) -> list[dict[str, Any]]:
+def parse_csv(text: str) -> list[dict[str, object]]:
     """Parse an emitted CSV back into typed row dicts (header-driven)."""
     reader = csv.reader(io.StringIO(text))
     try:
@@ -221,7 +217,7 @@ def parse_csv(text: str) -> list[dict[str, Any]]:
     ]
 
 
-def parse_json(text: str) -> list[dict[str, Any]]:
+def parse_json(text: str) -> list[dict[str, object]]:
     """Parse an emitted JSON array back into row dicts."""
     rows = json.loads(text)
     if not isinstance(rows, list):
@@ -231,7 +227,7 @@ def parse_json(text: str) -> list[dict[str, Any]]:
 
 def result_rows(
     result: SimResult, estimator: str, p: float, max_tx: int
-) -> list[dict[str, Any]]:
+) -> list[dict[str, object]]:
     return _finite([
         {
             "estimator": estimator,
@@ -257,7 +253,7 @@ def emit_result_json(result: SimResult, estimator: str, p: float, max_tx: int) -
     return rows_to_json(result_rows(result, estimator, p, max_tx), RESULT_FIELDS)
 
 
-def report_rows(report: ValidationReport) -> list[dict[str, Any]]:
+def report_rows(report: ValidationReport) -> list[dict[str, object]]:
     rows = []
     for point in report.points:
         rows.append(

@@ -31,15 +31,15 @@ number of slots the delivered packet spent in transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterator
 
 import numpy as np
 
-from .analytic import EnergyParams, LinkSpec, Policy, failure_prob
+from .analytic import EnergyParams, LinkSpec, Policy, _Checked, failure_prob
 
 __all__ = [
     "SimConfig",
@@ -64,8 +64,8 @@ def _check_cycle_warmup(cfg: SimConfig) -> None:
         raise ValueError("cycle estimator needs warmup >= 1 cycle")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horizon_slots warmup_slots batches",
+                                     defaults=(None, 100))):
     """Configuration shared by both estimators.
 
     ``horizon_slots`` counts slots for the slot estimator and success cycles
@@ -78,49 +78,37 @@ class SimConfig:
     chunks of 65,536 slots or cycles, so memory is flat in the horizon.
     """
 
-    link: LinkSpec
-    policy: Policy
-    energy: EnergyParams
-    seed: int
-    horizon_slots: int
-    warmup_slots: int | None = None
-    batches: int = 100
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        if self.horizon_slots < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon_slots}")
-        if self.warmup_slots is None:
-            default = max(1000, self.horizon_slots // 100)
-            if default >= self.horizon_slots:
-                default = self.horizon_slots // 10
-            object.__setattr__(self, "warmup_slots", default)
-        if not 0 <= self.warmup_slots < self.horizon_slots:
+    def __new__(cls, link: LinkSpec, policy: Policy, energy: EnergyParams, seed: int, horizon_slots: int,
+                warmup_slots: int | None = None, batches: int = 100):
+        _check_seed(seed)
+        if horizon_slots < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon_slots}")
+        if warmup_slots is None:
+            warmup_slots = max(1000, horizon_slots // 100)
+            if warmup_slots >= horizon_slots:
+                warmup_slots = horizon_slots // 10
+        if not 0 <= warmup_slots < horizon_slots:
             raise ValueError(
                 f"warmup must satisfy 0 <= warmup < horizon, "
-                f"got warmup={self.warmup_slots}, horizon={self.horizon_slots}"
+                f"got warmup={warmup_slots}, horizon={horizon_slots}"
             )
-        if self.batches < 2:
-            raise ValueError(f"batches must be >= 2, got {self.batches}")
-        if (self.horizon_slots - self.warmup_slots) // self.batches < 1:
+        if batches < 2:
+            raise ValueError(f"batches must be >= 2, got {batches}")
+        if (horizon_slots - warmup_slots) // batches < 1:
             raise ValueError(
-                f"horizon - warmup = {self.horizon_slots - self.warmup_slots} "
-                f"is too small for {self.batches} batches"
+                f"horizon - warmup = {horizon_slots - warmup_slots} "
+                f"is too small for {batches} batches"
             )
+        return tuple.__new__(cls, (link, policy, energy, seed, horizon_slots, warmup_slots, batches))
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(namedtuple("SimResult", "avg_aoi_est avg_energy_est stderr_aoi stderr_energy slots "
+                                        "packets_generated successes seed")):
     """Monte Carlo estimates with batch-means standard errors and counters."""
 
-    avg_aoi_est: float
-    avg_energy_est: float
-    stderr_aoi: float
-    stderr_energy: float
-    slots: int
-    packets_generated: int
-    successes: int
-    seed: int
+    __slots__ = ()
 
 
 def _slot_chunk(fails: np.ndarray, max_tx: int, k: int, last: int):

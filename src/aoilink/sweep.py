@@ -14,8 +14,9 @@ a power sweep builds each dBm point's link and transmit energy once for all M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import operator
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .analytic import (
     EnergyParams,
@@ -23,6 +24,7 @@ from .analytic import (
     PowerModel,
     RayleighLink,
     _age_and_rate,
+    _Checked,
     _check_max_tx,
     _check_nonnegative,
     _check_p,
@@ -64,26 +66,21 @@ def _check_size(points: int) -> None:
         raise ValueError(f"sweep of {points} points exceeds the limit of {MAX_GRID_POINTS}")
 
 
-@dataclass(frozen=True)
-class MSweep:
+class MSweep(_Checked, namedtuple("MSweep", "p_list max_tx_list energy")):
     """Sweep the retransmission limit for each fixed failure probability."""
 
-    p_list: tuple[float, ...]
-    max_tx_list: tuple[int, ...]
-    energy: EnergyParams
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_list", tuple(self.p_list))
-        object.__setattr__(self, "max_tx_list", tuple(self.max_tx_list))
-        if not self.p_list:
+    def __new__(cls, p_list: Iterable[float], max_tx_list: Iterable[int], energy: EnergyParams):
+        p_list, max_tx_list = tuple(p_list), tuple(max_tx_list)
+        if not p_list:
             raise ValueError("p_list must not be empty")
-        if not self.max_tx_list:
+        if not max_tx_list:
             raise ValueError("max_tx_list must not be empty")
-        _check_size(self.size)
-        for p in self.p_list:
+        _check_size(len(p_list) * len(max_tx_list))
+        for p in p_list:
             _check_p(p)
-        for m in self.max_tx_list:
-            _check_max_tx(m)
+        return tuple.__new__(cls, (p_list, _max_tx_tuple(max_tx_list), energy))
 
     @property
     def size(self) -> int:
@@ -91,8 +88,8 @@ class MSweep:
         return len(self.p_list) * len(self.max_tx_list)
 
 
-@dataclass(frozen=True)
-class PowerSweep:
+class PowerSweep(_Checked, namedtuple("PowerSweep", "dbm_min dbm_max dbm_step max_tx_list rate snr_ref_db "
+                                      "ref_power_dbm sense_energy circuit_power inv_drain_eff max_power")):
     """Sweep the transmit power (in dBm) for each retransmission limit.
 
     The noise power is fixed by a reference SNR at a reference power; the
@@ -100,26 +97,19 @@ class PowerSweep:
     Rayleigh outage and the amplifier model.
     """
 
-    dbm_min: float
-    dbm_max: float
-    dbm_step: float
-    max_tx_list: tuple[int, ...]
-    rate: float
-    snr_ref_db: float
-    ref_power_dbm: float
-    sense_energy: float
-    circuit_power: float
-    inv_drain_eff: float
-    max_power: float  # watts
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_tx_list", tuple(self.max_tx_list))
-        if not self.max_tx_list:
+    def __new__(cls, dbm_min: float, dbm_max: float, dbm_step: float, max_tx_list: Iterable[int], rate: float,
+                snr_ref_db: float, ref_power_dbm: float, sense_energy: float, circuit_power: float,
+                inv_drain_eff: float, max_power: float):  # max_power in watts
+        max_tx_list = tuple(max_tx_list)
+        if not max_tx_list:
             raise ValueError("max_tx_list must not be empty")
-        _check_size(self.size)
-        for m in self.max_tx_list:
-            _check_max_tx(m)
-        _check_nonnegative("sense energy", self.sense_energy)
+        _check_size(_grid_count(dbm_min, dbm_max, dbm_step) * len(max_tx_list))
+        max_tx_list = _max_tx_tuple(max_tx_list)
+        _check_nonnegative("sense energy", sense_energy)
+        return tuple.__new__(cls, (dbm_min, dbm_max, dbm_step, max_tx_list, rate, snr_ref_db, ref_power_dbm,
+                                   sense_energy, circuit_power, inv_drain_eff, max_power))
 
     @property
     def size(self) -> int:
@@ -127,8 +117,7 @@ class PowerSweep:
         return _grid_count(self.dbm_min, self.dbm_max, self.dbm_step) * len(self.max_tx_list)
 
 
-@dataclass(frozen=True)
-class EsSweep:
+class EsSweep(_Checked, namedtuple("EsSweep", "es_list base normalizer", defaults=(None,))):
     """A base sweep's curves per sensing energy, each normalized.
 
     Each produced curve is normalized by ``sense_energy + tx_ref`` where
@@ -138,32 +127,35 @@ class EsSweep:
     maximum power (for a PowerSweep base).
     """
 
-    es_list: tuple[float, ...]
-    base: MSweep | PowerSweep
-    normalizer: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "es_list", tuple(self.es_list))
-        if not self.es_list:
+    def __new__(cls, es_list: Iterable[float], base: MSweep | PowerSweep, normalizer: float | None = None):
+        es_list = tuple(es_list)
+        if not es_list:
             raise ValueError("es_list must not be empty")
-        _check_size(len(self.es_list) * self.base.size)
-        for es in self.es_list:
+        _check_size(len(es_list) * base.size)
+        for es in es_list:
             _check_nonnegative("sense energy", es)
-        if self.normalizer is not None:
-            _check_positive("normalizer", self.normalizer)
+        if normalizer is not None:
+            _check_positive("normalizer", normalizer)
+        return tuple.__new__(cls, (es_list, base, normalizer))
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
+class TradeoffCurve(_Checked, namedtuple("TradeoffCurve", "label points normalizer", defaults=(None,))):
     """An ordered list of (energy, age) points plus the divisor applied to
     the energies (None while unnormalized)."""
 
-    label: str
-    points: tuple[MetricPoint, ...]
-    normalizer: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
+    def __new__(cls, label: str, points: Iterable[MetricPoint], normalizer: float | None = None):
+        return tuple.__new__(cls, (label, tuple(points), normalizer))
+
+
+def _max_tx_tuple(max_tx_list: tuple) -> tuple[int, ...]:
+    """The limits as plain ints, once each has passed the check."""
+    for m in max_tx_list:
+        _check_max_tx(m)
+    return tuple(map(operator.index, max_tx_list))
 
 
 def _grid_count(dbm_min: float, dbm_max: float, dbm_step: float) -> int:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
 from .simulator import SimConfig, SimResult, _check_cycle_warmup, _check_seed, run_cycle_sim, run_slot_sim
@@ -30,22 +30,12 @@ STDERR_MULTIPLE = 3.0
 RELATIVE_FLOOR = 0.005
 
 
-@dataclass(frozen=True)
-class ValidationPoint:
-    p: float
-    max_tx: int
-    exact_aoi: float
-    exact_energy: float
-    slot: SimResult
-    cycle: SimResult
-    slot_pass: bool
-    cycle_pass: bool
+class ValidationPoint(namedtuple("ValidationPoint", "p max_tx exact_aoi exact_energy slot cycle slot_pass cycle_pass")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    points: tuple[ValidationPoint, ...]
-    passed: bool
+class ValidationReport(namedtuple("ValidationReport", "points passed")):
+    __slots__ = ()
 
 
 def within_tolerance(estimate: float, stderr: float, exact: float) -> bool:

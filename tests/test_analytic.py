@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath as mp
 import pytest
@@ -9,6 +10,7 @@ from aoilink.analytic import (
     EnergyParams,
     FixedFailureLink,
     MetricPoint,
+    Policy,
     PowerModel,
     RayleighLink,
     avg_aoi,
@@ -26,6 +28,7 @@ from aoilink.analytic import (
     sense_count_pmf,
     transmit_energy,
 )
+from aoilink.sweep import EsSweep, MSweep, PowerSweep, TradeoffCurve
 
 ET_REF = 4.02308  # 2.1 + 19.2308 * 0.1
 
@@ -199,6 +202,91 @@ def test_metric_point_is_an_immutable_value():
     assert len({point, MetricPoint(0.4, 3, 2.5, 1.25, -3.5)}) == 1
     moved = point._replace(avg_energy=2.5, tx_power_dbm=None)
     assert moved == MetricPoint(0.4, 3, 2.5, 2.5) and point.avg_energy == 1.25
+
+
+def sim_config(*args, **kwargs):
+    return pytest.importorskip("aoilink.simulator").SimConfig(*args, **kwargs)
+
+
+POWER_SWEEP = (2.0, 20.0, 3.0, (1, 3), 2.0, 20.0, 20.0, ET_REF, 2.1, 19.2308, 0.1)
+
+# Each checked value type: a valid value, and one field change its constructor rejects.
+CHECKED_VALUES = {
+    "FixedFailureLink": (lambda: FixedFailureLink(0.4), {"p": 1.0}, "failure probability"),
+    "RayleighLink": (lambda: RayleighLink(2.0, 1e-3, 0.1), {"noise_power": 0.0}, "noise power"),
+    "PowerModel": (lambda: PowerModel(2.1, 19.2308, 0.1, 0.1), {"tx_power": 0.2}, "0 < Pt <= Pmax"),
+    "Policy": (lambda: Policy(3), {"max_tx": 0}, "max_tx must be >= 1"),
+    "EnergyParams": (lambda: EnergyParams(1.0, ET_REF), {"tx_energy": -1.0}, "tx energy"),
+    "MSweep": (lambda: MSweep((0.4,), (1, 3), EnergyParams(1.0, ET_REF)), {"p_list": ()}, "p_list"),
+    "PowerSweep": (lambda: PowerSweep(*POWER_SWEEP), {"max_tx_list": (2, 2.5)}, "must be an integer"),
+    "EsSweep": (lambda: EsSweep((0.5,), PowerSweep(*POWER_SWEEP)), {"normalizer": math.inf}, "normalizer"),
+    "SimConfig": (
+        lambda: sim_config(FixedFailureLink(0.4), Policy(3), EnergyParams(1.0, ET_REF), 7, 5000),
+        {"batches": 1},
+        "batches must be >= 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_VALUES)
+def test_replace_reruns_the_constructor_checks(name):
+    build, bad, match = CHECKED_VALUES[name]
+    value = build()
+    assert type(value).__name__ == name
+    with pytest.raises(ValueError, match=match):
+        type(value)(**{**value._asdict(), **bad})
+    with pytest.raises(ValueError, match=match):
+        value._replace(**bad)
+    with pytest.raises(ValueError, match=match):
+        type(value)._make({**value._asdict(), **bad}.values())
+    assert value._replace() == value
+
+
+@pytest.mark.parametrize("name", CHECKED_VALUES)
+def test_checked_values_are_immutable_and_pickle(name):
+    value = CHECKED_VALUES[name][0]()
+    field = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is type(value) and again == value and hash(again) == hash(value)
+    assert value == tuple(value) and value == type(value)(*value)
+
+
+def test_value_type_reprs():
+    assert repr(Policy(3)) == "Policy(max_tx=3)"
+    assert repr(FixedFailureLink(0.4)) == "FixedFailureLink(p=0.4)"
+    assert repr(EnergyParams(1.0, 2.0)) == "EnergyParams(sense_energy=1.0, tx_energy=2.0)"
+    assert repr(MSweep([0.4], [True], EnergyParams(1.0, 2.0))) == (
+        "MSweep(p_list=(0.4,), max_tx_list=(1,), energy=EnergyParams(sense_energy=1.0, tx_energy=2.0))"
+    )
+    assert repr(TradeoffCurve("a", [MetricPoint(0.4, 3, 2.5, 1.25)])) == (
+        "TradeoffCurve(label='a', points=(MetricPoint(p=0.4, max_tx=3, avg_aoi=2.5, avg_energy=1.25, "
+        "tx_power_dbm=None),), normalizer=None)"
+    )
+
+
+def test_list_fields_are_stored_as_tuples():
+    spec = MSweep([0.4], [3, 1], EnergyParams(1.0, ET_REF))
+    assert spec.p_list == (0.4,) and spec.max_tx_list == (3, 1)
+    assert PowerSweep(*POWER_SWEEP)._replace(max_tx_list=[2]).max_tx_list == (2,)
+    assert EsSweep([0.5, 1.0], spec).es_list == (0.5, 1.0)
+    curve = TradeoffCurve("a", [])._replace(points=[MetricPoint(0.4, 3, 2.5, 1.25)])
+    assert curve.points == (MetricPoint(0.4, 3, 2.5, 1.25),) and curve.normalizer is None
+
+
+def test_sim_config_resolves_the_default_warmup():
+    def warmup(horizon, **kwargs):
+        return sim_config(FixedFailureLink(0.4), Policy(3), EnergyParams(1.0, ET_REF), 7, horizon, **kwargs).warmup_slots
+
+    assert warmup(5000) == 1000  # the floor of 1000
+    assert warmup(200_000) == 2000  # 1% of the horizon
+    assert warmup(500) == 50  # capped to a tenth of a short horizon
+    assert warmup(5000, warmup_slots=0) == 0
+    cfg = sim_config(FixedFailureLink(0.4), Policy(3), EnergyParams(1.0, ET_REF), 7, 5000)
+    assert cfg.batches == 100 and cfg._replace(horizon_slots=200_000).warmup_slots == 1000
 
 
 # ---------------------------------------------------------------------------

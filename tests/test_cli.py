@@ -973,12 +973,12 @@ def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
 # ---------------------------------------------------------------------------
 
 
-def run_fresh(script):
-    """Run ``script`` in a new interpreter that imports this aoilink; return its
-    last stdout line as JSON."""
+def run_fresh(script, *flags):
+    """Run ``script`` in a new interpreter (given ``flags``) that imports this
+    aoilink; return its last stdout line as JSON."""
     src = str(Path(aoilink.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -1030,6 +1030,25 @@ print(json.dumps({{"listed": listed, "all": aoilink.__all__, "numpy_after": step
     steps = seen["numpy_after"]
     assert len(steps) == 2 + len(CLOSED_FORM_CALLS) + 1
     assert not any(steps.values()), steps
+
+
+def test_closed_form_path_loads_no_dataclasses_inspect_or_typing():
+    # Those three modules once took a fifth of the CLI's start-up. -S keeps the
+    # host's site hooks out: a package's .pth file may import typing itself.
+    seen = run_fresh(f"""
+import contextlib, io, json, sys
+slow = ("dataclasses", "inspect", "typing")
+steps = {{"before": [name for name in slow if name in sys.modules]}}
+import aoilink.cli
+steps["import aoilink.cli"] = [name for name in slow if name in sys.modules]
+for argv in {CLOSED_FORM_CALLS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert aoilink.cli.main(argv) == 0
+    steps[" ".join(argv[:2])] = [name for name in slow if name in sys.modules]
+print(json.dumps(steps))
+""", "-S")
+    assert len(seen) == 2 + len(CLOSED_FORM_CALLS)
+    assert not any(seen.values()), seen
 
 
 def test_simulate_imports_numpy_and_calls_the_current_binding():

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -20,6 +19,7 @@ from aoilink.analytic import (
     noise_from_reference_snr,
     transmit_energy,
 )
+from aoilink.output import emit_csv, emit_json, parse_csv
 from aoilink.sweep import (
     MAX_GRID_POINTS,
     EsSweep,
@@ -129,6 +129,23 @@ def test_numpy_and_bool_max_tx_are_accepted():
         assert avg_aoi(0.4, max_tx) == avg_aoi(0.4, 3)
         assert m_sweep(MSweep((0.4,), (max_tx,), REF_ENERGY)) == m_sweep(MSweep((0.4,), (3,), REF_ENERGY))
     assert avg_aoi(0.4, True) == avg_aoi(0.4, 1)  # operator.index(True) == 1
+
+
+def test_bool_and_numpy_max_tx_are_stored_as_plain_ints():
+    # True passes the check (it has __index__) and was emitted as an M of "True",
+    # which parse_csv rejects; a numpy M made emit_json raise.
+    curves = m_sweep(MSweep((0.4,), (True, 2), REF_ENERGY))
+    assert [type(pt.max_tx) for pt in curves[0].points] == [int, int]
+    assert [row["M"] for row in parse_csv(emit_csv(curves))] == [1, 2]
+    for emit in (emit_csv, emit_json):
+        assert emit(curves) == emit(m_sweep(MSweep((0.4,), (1, 2), REF_ENERGY)))
+    assert type(Policy(True).max_tx) is int and type(ref_power_spec((True,)).max_tx_list[0]) is int
+    assert type(evaluate(FixedFailureLink(0.4), True, REF_ENERGY).max_tx) is int
+    np = pytest.importorskip("numpy")
+    spec = MSweep((0.4,), (np.int64(3),), REF_ENERGY)
+    assert type(spec.max_tx_list[0]) is int and type(ref_power_spec((np.int64(3),)).max_tx_list[0]) is int
+    for emit in (emit_csv, emit_json):
+        assert emit(m_sweep(spec)) == emit(m_sweep(MSweep((0.4,), (3,), REF_ENERGY)))
 
 
 def test_m_sweep_points_reproducible_standalone():
@@ -323,11 +340,11 @@ def rerun_es_sweep(spec):
     out = []
     for es in spec.es_list:
         if isinstance(base, MSweep):
-            curves = m_sweep(replace(base, energy=EnergyParams(es, base.energy.tx_energy)))
+            curves = m_sweep(base._replace(energy=EnergyParams(es, base.energy.tx_energy)))
         else:
-            curves = power_sweep(replace(base, sense_energy=es))
+            curves = power_sweep(base._replace(sense_energy=es))
         for curve in curves:
-            out.append(normalize_curve(replace(curve, label=f"Es={es:.9g} {curve.label}"), es + tx_ref))
+            out.append(normalize_curve(curve._replace(label=f"Es={es:.9g} {curve.label}"), es + tx_ref))
     return out
 
 
@@ -428,7 +445,7 @@ def test_power_sweep_matches_evaluate_per_point(spec):
 def test_sweep_specs_reject_non_finite_energies(bad):
     base = MSweep((0.4,), (1,), REF_ENERGY)
     with pytest.raises(ValueError, match="finite"):
-        replace(ref_power_spec(), sense_energy=bad)
+        ref_power_spec()._replace(sense_energy=bad)
     with pytest.raises(ValueError, match="finite"):
         EsSweep((bad,), base)
     with pytest.raises(ValueError, match="finite"):
