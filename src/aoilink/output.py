@@ -3,9 +3,10 @@ reports, plus the parsers that make the emitted artifacts round-trip.
 
 CSV floats are printed with 9 significant digits and JSON floats exactly, so an
 emitted file parses and re-emits to the same bytes. Missing fields are empty in
-CSV and null in JSON; a non-finite value is rejected, never printed. The curve
-emitters print each distinct cell of a column once per call, and their output stays
-byte-equal to ``rows_to_csv``/``rows_to_json`` over ``curve_rows``.
+CSV and null in JSON; a non-finite value is rejected, never printed. Every table
+(curves, results, reports, and row dicts) is rendered from its columns by one
+renderer, which prints each distinct cell of a column once per call; its text is
+that of ``csv.writer`` and of ``json.dumps(rows, indent=2)`` over the row dicts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import chain, repeat
 
 from .sweep import _FLOAT_FORMAT, TradeoffCurve
@@ -72,9 +73,17 @@ REPORT_FIELDS = (
 )
 
 
-# Each cell type as (printer, parser) of a cell that is not empty; None
+def _quote(text: object) -> str:
+    """``text`` as csv.writer prints it inside a row, quoted where that writer quotes it (which
+    varies with the Python version: 3.13 quotes a carriage return, 3.12 does not)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+# Each cell type as (CSV printer, parser) of a cell that is not empty; None
 # prints as an empty cell, and an empty cell parses as None.
-_STR = (str, str)
+_STR = (_quote, str)
 _INT = (str, int)
 _BOOL = (lambda value: "true" if value else "false", lambda text: text == "true")
 _FLOAT = (_FLOAT_FORMAT.format, float)
@@ -93,114 +102,97 @@ _COLUMN_TYPES = {
     "cycle_pass": _BOOL,
 }
 
-
-def _finite(rows: list[dict[str, object]], fields: Sequence[str]) -> list[dict[str, object]]:
-    """``rows``, once every cell of their float columns is checked to be finite."""
-    floats = [name for name in fields if name not in _COLUMN_TYPES]
-    for row in rows:
-        for name in floats:
-            value = row[name]
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} is {value}: the inputs are past the float range")
-    return rows
-
-
-def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, object]]:
-    """Flatten curves into row dicts with the CURVE_FIELDS keys.
-
-    Unnormalized curves fill ``avg_energy``; normalized curves fill
-    ``avg_energy_normalized`` (their stored energies are already divided).
-    """
-    rows = []
-    for curve in curves:
-        normalized = curve.normalizer is not None
-        for pt in curve.points:
-            rows.append(
-                {
-                    "label": curve.label,
-                    "p": pt.p,
-                    "M": pt.max_tx,
-                    "pt_dbm": pt.tx_power_dbm,
-                    "avg_energy": None if normalized else pt.avg_energy,
-                    "avg_energy_normalized": pt.avg_energy if normalized else None,
-                    "avg_aoi": pt.avg_aoi,
-                }
-            )
-    return _finite(rows, CURVE_FIELDS)
-
-
-def rows_to_csv(rows: Sequence[Mapping[str, object]], fields: Sequence[str] = CURVE_FIELDS) -> str:
-    printers = [(name, _COLUMN_TYPES.get(name, _FLOAT)[0]) for name in fields]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow(["" if (value := row.get(name)) is None else show(value) for name, show in printers])
-    return buf.getvalue()
-
-
 # json.dumps(..., indent=2) runs the pure-Python encoder; without an indent
 # the C encoder runs, so the row indentation lives in the item separator.
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 
 
-def rows_to_json(rows: Sequence[Mapping[str, object]], fields: Sequence[str] = CURVE_FIELDS) -> str:
-    """The text of ``json.dumps(rows, indent=2) + "\\n"``, rows keyed by ``fields`` (nonempty)."""
-    fields = list(fields)
-    if any(type(row) is not dict or list(row) != fields for row in rows):
-        rows = [{name: row.get(name) for name in fields} for row in rows]
-    text = _ROW_ENCODER.encode(rows)
-    # Raw newlines occur only in separators and no scalar ends in "}": a joint of two rows.
-    joined = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-    return "[\n  {\n    " + joined + "\n  }\n]\n" if rows else "[]\n"
-
-
-def _curve_rows(curves: Sequence[TradeoffCurve], show: Callable[[str, Sequence[object]], list[str]],
-                head: Callable[[str], str], key: Callable[[str], str], null: str, tail: str) -> list[str]:
-    """Per curve that has points, the text of its rows: each row is ``head(label)``, then per
-    field ``key(name)`` and the cell's text (``null`` in the energy column the curve leaves
-    empty), then ``tail``. ``show(name, values)`` prints a column's values: once over its
-    distinct values in all the curves, unless the column holds a zero or mixes types, whose
-    equal keys print apart (0.0 and -0.0; 1, 1.0 and True). A float cell that is not finite
-    raises as in curve_rows."""
-    curves, columns, out = [curve for curve in curves if curve.points], [], []
-    for name, cells in zip(("p", "M", "avg_aoi", "avg_energy", "pt_dbm"), zip(*[zip(*c.points) for c in curves])):
-        distinct = dict.fromkeys(chain.from_iterable(cells))
-        if name != "M" and not all(map(math.isfinite, [v for v in distinct if v is not None])):
-            curve_rows(curves)  # raises on the first cell that is not finite, in row order
-        if 0 in distinct or len(set(map(type, chain.from_iterable(cells))) - {type(None)}) > 1:
-            columns.append([show(name, column) for column in cells])
-        else:
-            text = dict(zip(distinct, show(name, list(distinct)))).__getitem__
-            columns.append([list(map(text, column)) for column in cells])
-    for curve, (p, m, aoi, energy, dbm) in zip(curves, zip(*columns)):
-        e, n, a = key("avg_energy"), key("avg_energy_normalized"), key("avg_aoi")
-        gaps = (e, n + null + a) if curve.normalizer is None else (e + null + n, a)
-        g0, g1, g2, g3, g4, g5 = map(repeat, (head(curve.label) + key("p"), key("M"), key("pt_dbm"), *gaps, tail))
-        out.append("".join(chain.from_iterable(zip(g0, p, g1, m, g2, dbm, g3, energy, g4, aoi, g5))))
-    return out
-
-
-def _show_csv(name: str, values: Sequence[object]) -> list[str]:
+def _cells(fmt: str, name: str, values: Sequence[object]) -> list[str]:
+    """The text of each of ``values``, cells of the column ``name``."""
+    if fmt == "json":  # no scalar's text holds a raw newline, so the item separator splits the items
+        return _ROW_ENCODER.encode(values)[1:-1].split(_ROW_ENCODER.item_separator)
     show = _COLUMN_TYPES.get(name, _FLOAT)[0]
     return ["" if value is None else show(value) for value in values]
 
 
+def _render(fields: Sequence[str], columns: Sequence[Sequence[object]], fmt: str) -> str:
+    """The table whose k-th column holds the cells of ``fields[k]`` (None where missing), as
+    ``csv.writer`` writes it (``fmt`` "csv") or as ``json.dumps(rows, indent=2) + "\\n"`` of
+    its row dicts (``fmt`` "json"). A column prints once over its distinct cells, unless it
+    holds a zero or mixes types, whose equal cells print apart (0.0 and -0.0; 1, 1.0, True)."""
+    if fmt == "csv":
+        head, keys, end, last = ",".join(fields) + "\n", ["", *[","] * (len(fields) - 1)], "\n", "\n"
+    else:
+        sep = _ROW_ENCODER.item_separator
+        keys = [(sep if k else "  {\n    ") + _ROW_ENCODER.encode(name) + ": " for k, name in enumerate(fields)]
+        head, end, last = "[\n", "\n  },\n", "\n  }\n]\n"  # the last row takes no comma
+    if not columns[0]:
+        return head if fmt == "csv" else "[]\n"
+    texts = []
+    for name, column in zip(fields, columns):
+        distinct = dict.fromkeys(column)
+        if 0 in distinct or len(set(map(type, column)) - {type(None)}) > 1:
+            texts.append(_cells(fmt, name, column))
+        else:
+            texts.append(map(dict(zip(distinct, _cells(fmt, name, list(distinct)))).__getitem__, column))
+    # Each row's end and the next row's first key are one piece.
+    pieces = [head + keys[0]]
+    pieces += chain.from_iterable(zip(*chain.from_iterable(zip(texts, map(repeat, [*keys[1:], end + keys[0]])))))
+    pieces[-1] = last
+    return "".join(pieces)
+
+
+def _checked(fields: Sequence[str], columns: list[Sequence[object]]) -> list[Sequence[object]]:
+    """``columns``, once every cell of their float columns is checked to be finite; the
+    first cell that is not, in row order, raises."""
+    floats = [(name, column) for name, column in zip(fields, columns) if name not in _COLUMN_TYPES]
+    if not all(math.isfinite(sum(filter(None, column))) for _, column in floats):  # a sum may overflow
+        for row in zip(*[column for _, column in floats]):
+            for (name, _), value in zip(floats, row):
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name} is {value}: the inputs are past the float range")
+    return columns
+
+
+def _dicts(fields: Sequence[str], columns: Sequence[Sequence[object]]) -> list[dict[str, object]]:
+    return [dict(zip(fields, row)) for row in zip(*columns)]
+
+
+def _curve_columns(curves: Sequence[TradeoffCurve]) -> list[Sequence[object]]:
+    """The CURVE_FIELDS columns of ``curves``. Unnormalized curves fill ``avg_energy``;
+    normalized curves fill ``avg_energy_normalized`` (their stored energies are already
+    divided)."""
+    columns = [[] for _ in CURVE_FIELDS]
+    for curve in curves:
+        if curve.points:
+            p, m, aoi, energy, dbm = zip(*curve.points)
+            blank = (None,) * len(p)
+            energies = (energy, blank) if curve.normalizer is None else (blank, energy)
+            for column, cells in zip(columns, ((curve.label,) * len(p), p, m, dbm, *energies, aoi)):
+                column += cells
+    return _checked(CURVE_FIELDS, columns)
+
+
+def curve_rows(curves: Sequence[TradeoffCurve]) -> list[dict[str, object]]:
+    """Flatten curves into row dicts with the CURVE_FIELDS keys."""
+    return _dicts(CURVE_FIELDS, _curve_columns(curves))
+
+
+def rows_to_csv(rows: Sequence[Mapping[str, object]], fields: Sequence[str] = CURVE_FIELDS) -> str:
+    return _render(fields, [[row.get(name) for row in rows] for name in fields], "csv")
+
+
+def rows_to_json(rows: Sequence[Mapping[str, object]], fields: Sequence[str] = CURVE_FIELDS) -> str:
+    """The text of ``json.dumps(rows, indent=2) + "\\n"``, rows keyed by ``fields`` (nonempty)."""
+    return _render(fields, [[row.get(name) for row in rows] for name in fields], "json")
+
+
 def emit_csv(curves: Sequence[TradeoffCurve]) -> str:
-    """``rows_to_csv(curve_rows(curves))``, each distinct cell of a column printed once."""
-    def label(text: str) -> str:  # the label cell, quoted as in a row
-        return rows_to_csv([{"label": text}], ("label", "p")).partition("\n")[2][:-2]
-    return "".join([rows_to_csv(()), *_curve_rows(curves, _show_csv, label, lambda name: ",", "", "\n")])
+    return _render(CURVE_FIELDS, _curve_columns(curves), "csv")
 
 
 def emit_json(curves: Sequence[TradeoffCurve]) -> str:
-    """``rows_to_json(curve_rows(curves))``, each distinct cell of a column printed once."""
-    sep = _ROW_ENCODER.item_separator  # no scalar's text holds a newline, so sep splits the items
-    texts = _curve_rows(curves, lambda name, values: _ROW_ENCODER.encode(values)[1:-1].split(sep),
-                        lambda label: '  {\n    "label": ' + _ROW_ENCODER.encode(label),
-                        (sep + '"{}": ').format, "null", "\n  },\n")
-    # The last row takes no comma.
-    return "".join(["[\n", *texts[:-1], texts[-1][:-2], "\n]\n"]) if texts else "[]\n"
+    return _render(CURVE_FIELDS, _curve_columns(curves), "json")
 
 
 def parse_csv(text: str) -> list[dict[str, object]]:
@@ -225,68 +217,46 @@ def parse_json(text: str) -> list[dict[str, object]]:
     return rows
 
 
-def result_rows(
-    result: SimResult, estimator: str, p: float, max_tx: int
-) -> list[dict[str, object]]:
-    return _finite([
-        {
-            "estimator": estimator,
-            "p": p,
-            "M": max_tx,
-            "avg_aoi_est": result.avg_aoi_est,
-            "stderr_aoi": result.stderr_aoi,
-            "avg_energy_est": result.avg_energy_est,
-            "stderr_energy": result.stderr_energy,
-            "slots": result.slots,
-            "packets_generated": result.packets_generated,
-            "successes": result.successes,
-            "seed": result.seed,
-        }
-    ], RESULT_FIELDS)
+def _result_columns(result: SimResult, estimator: str, p: float, max_tx: int) -> list[Sequence[object]]:
+    cells = (estimator, p, max_tx, result.avg_aoi_est, result.stderr_aoi, result.avg_energy_est,
+             result.stderr_energy, result.slots, result.packets_generated, result.successes, result.seed)
+    return _checked(RESULT_FIELDS, [(cell,) for cell in cells])
+
+
+def result_rows(result: SimResult, estimator: str, p: float, max_tx: int) -> list[dict[str, object]]:
+    return _dicts(RESULT_FIELDS, _result_columns(result, estimator, p, max_tx))
 
 
 def emit_result_csv(result: SimResult, estimator: str, p: float, max_tx: int) -> str:
-    return rows_to_csv(result_rows(result, estimator, p, max_tx), RESULT_FIELDS)
+    return _render(RESULT_FIELDS, _result_columns(result, estimator, p, max_tx), "csv")
 
 
 def emit_result_json(result: SimResult, estimator: str, p: float, max_tx: int) -> str:
-    return rows_to_json(result_rows(result, estimator, p, max_tx), RESULT_FIELDS)
+    return _render(RESULT_FIELDS, _result_columns(result, estimator, p, max_tx), "json")
+
+
+def _report_columns(report: ValidationReport) -> list[Sequence[object]]:
+    rows = [
+        (pt.p, pt.max_tx, pt.exact_aoi, pt.exact_energy,
+         pt.slot.avg_aoi_est, pt.slot.stderr_aoi, pt.slot.avg_energy_est, pt.slot.stderr_energy, pt.slot_pass,
+         pt.cycle.avg_aoi_est, pt.cycle.stderr_aoi, pt.cycle.avg_energy_est, pt.cycle.stderr_energy, pt.cycle_pass)
+        for pt in report.points
+    ]
+    return _checked(REPORT_FIELDS, [*zip(*rows)] or [()] * len(REPORT_FIELDS))
 
 
 def report_rows(report: ValidationReport) -> list[dict[str, object]]:
-    rows = []
-    for point in report.points:
-        rows.append(
-            {
-                "p": point.p,
-                "M": point.max_tx,
-                "analytic_aoi": point.exact_aoi,
-                "analytic_energy": point.exact_energy,
-                "slot_aoi": point.slot.avg_aoi_est,
-                "slot_stderr_aoi": point.slot.stderr_aoi,
-                "slot_energy": point.slot.avg_energy_est,
-                "slot_stderr_energy": point.slot.stderr_energy,
-                "slot_pass": point.slot_pass,
-                "cycle_aoi": point.cycle.avg_aoi_est,
-                "cycle_stderr_aoi": point.cycle.stderr_aoi,
-                "cycle_energy": point.cycle.avg_energy_est,
-                "cycle_stderr_energy": point.cycle.stderr_energy,
-                "cycle_pass": point.cycle_pass,
-            }
-        )
-    return _finite(rows, REPORT_FIELDS)
+    return _dicts(REPORT_FIELDS, _report_columns(report))
 
 
 def emit_report_csv(report: ValidationReport) -> str:
-    return rows_to_csv(report_rows(report), REPORT_FIELDS)
+    return _render(REPORT_FIELDS, _report_columns(report), "csv")
 
 
 def emit_report_json(report: ValidationReport) -> str:
     """Validation report as JSON: per-point rows plus the global verdict."""
-    payload = {
-        "points": report_rows(report),
-        "num_points": len(report.points),
-        "num_passed": sum(1 for pt in report.points if pt.slot_pass and pt.cycle_pass),
-        "passed": report.passed,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    points = _render(REPORT_FIELDS, _report_columns(report), "json")
+    passed = sum(1 for pt in report.points if pt.slot_pass and pt.cycle_pass)
+    verdict = json.dumps({"num_points": len(report.points), "num_passed": passed, "passed": report.passed}, indent=2)
+    # json.dumps(..., indent=2) of {"points": rows, **verdict}: the rows indented one level.
+    return '{\n  "points": ' + points[:-1].replace("\n", "\n  ") + "," + verdict[1:] + "\n"

@@ -31,6 +31,7 @@ number of slots the delivered packet spent in transmission.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import partial
@@ -59,6 +60,12 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+def _integer(name: str, value: int) -> int:
+    if not hasattr(type(value), "__index__"):  # as operator.index: ints, bools and numpy ints, not 1e4
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _check_cycle_warmup(cfg: SimConfig) -> None:
     if cfg.warmup_slots < 1:
         raise ValueError("cycle estimator needs warmup >= 1 cycle")
@@ -75,13 +82,15 @@ class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horiz
     short horizons). Standard errors use batch means over ``batches`` equal
     contiguous windows of ``(horizon - warmup) // batches`` samples; any
     remainder still enters the point estimates. Both estimators stream in
-    chunks of 65,536 slots or cycles, so memory is flat in the horizon.
+    chunks of 65,536 slots or cycles, so memory is flat in the horizon. The
+    seed and the three counts must be integers, and are stored as plain ints.
     """
 
     __slots__ = ()
 
     def __new__(cls, link: LinkSpec, policy: Policy, energy: EnergyParams, seed: int, horizon_slots: int,
                 warmup_slots: int | None = None, batches: int = 100):
+        seed, horizon_slots, batches = map(_integer, ("seed", "horizon", "batches"), (seed, horizon_slots, batches))
         _check_seed(seed)
         if horizon_slots < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon_slots}")
@@ -89,6 +98,7 @@ class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horiz
             warmup_slots = max(1000, horizon_slots // 100)
             if warmup_slots >= horizon_slots:
                 warmup_slots = horizon_slots // 10
+        warmup_slots = _integer("warmup", warmup_slots)
         if not 0 <= warmup_slots < horizon_slots:
             raise ValueError(
                 f"warmup must satisfy 0 <= warmup < horizon, "

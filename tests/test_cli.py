@@ -32,6 +32,7 @@ from aoilink.output import (
     emit_result_json,
     parse_csv,
     parse_json,
+    report_rows,
     result_rows,
     rows_to_csv,
     rows_to_json,
@@ -1303,12 +1304,47 @@ def labelled(label):
     return [TradeoffCurve(label, points), TradeoffCurve(label, points, 2.0)]
 
 
-def outcome(emit, curves):
-    """The emitted text, or the message of the ValueError raised instead."""
+def outcome(emit, *args):
+    """The emitted text, or the type and message of the error raised instead
+    (csv.Error: Python 3.10's csv.writer cannot write a NUL)."""
     try:
-        return emit(curves)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+        return emit(*args)
+    except (ValueError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# The emitters' reference, independent of aoilink.output: csv.writer and
+# json.dumps(indent=2) over row dicts built here, with the README's cell rules.
+TEXT_COLUMNS = {"label", "estimator"}
+INT_COLUMNS = {"M", "slots", "packets_generated", "successes", "seed"}
+BOOL_COLUMNS = {"slot_pass", "cycle_pass"}
+
+
+def reference_cell(name, value):
+    if value is None:
+        return ""
+    if name in BOOL_COLUMNS:
+        return "true" if value else "false"
+    if name in TEXT_COLUMNS or name in INT_COLUMNS:
+        return str(value)  # integers in full
+    return f"{value:.9g}"
+
+
+def reference_table(fields, rows, fmt, verdict=None):
+    """The text emitted for ``rows`` (a JSON report adds ``verdict`` beside its
+    points); their first float cell, in row order, that is not finite raises."""
+    for row in rows:
+        for name in fields:
+            value = row[name]
+            if name not in TEXT_COLUMNS | INT_COLUMNS | BOOL_COLUMNS and value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} is {value}: the inputs are past the float range")
+    if fmt == "json":
+        return json.dumps(rows if verdict is None else {"points": rows, **verdict}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([reference_cell(name, row[name]) for name in fields] for row in rows)
+    return buf.getvalue()
 
 
 @settings(deadline=None)
@@ -1321,7 +1357,8 @@ def outcome(emit, curves):
 @example(labelled("50%"))
 @example(labelled("{}"))
 @example(labelled("l\nm"))
-@example(labelled("\r"))
+@example(labelled("\r"))  # quoted by csv.writer from Python 3.13 on
+@example(labelled("\x00"))  # csv.writer raises on Python 3.10
 @example(labelled("Es=1 \u00b5J \u2206 \U0001f4e1"))
 # Non-finite cells in two columns: the age of the first row is reported, though the
 # fast check meets the second row's p first.
@@ -1330,8 +1367,80 @@ def outcome(emit, curves):
 @example([TradeoffCurve("a", (MetricPoint(0.0, 1, 1.5, 2.0),)), TradeoffCurve("b", (MetricPoint(-0.0, 1, 1.5, 2.0),))])
 @example([TradeoffCurve("a", (MetricPoint(0.4, True, 1.5, 2.0),)), TradeoffCurve("b", (MetricPoint(0.4, 1, 1.5, 2.0),))])
 def test_curve_emitters_equal_the_row_path(curves):
-    assert outcome(emit_csv, curves) == outcome(lambda c: rows_to_csv(curve_rows(c)), curves)
-    assert outcome(emit_json, curves) == outcome(lambda c: rows_to_json(curve_rows(c)), curves)
+    rows = [
+        {"label": curve.label, "p": p, "M": m, "pt_dbm": dbm,
+         "avg_energy": None if curve.normalizer is not None else energy,
+         "avg_energy_normalized": None if curve.normalizer is None else energy, "avg_aoi": aoi}
+        for curve in curves for p, m, aoi, energy, dbm in curve.points
+    ]
+    assert outcome(emit_csv, curves) == outcome(reference_table, CURVE_FIELDS, rows, "csv")
+    text = outcome(reference_table, CURVE_FIELDS, rows, "json")
+    assert outcome(emit_json, curves) == text
+    assert outcome(curve_rows, curves) == (text if text.startswith("ValueError") else rows)
+
+
+CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0, -0.0, math.inf, math.nan])
+
+
+def result_cells(floats):
+    """A SimResult whose four estimates are drawn from ``floats``."""
+    counts = st.integers(0, 2**64 - 1)
+    return st.builds(SimResult, floats, floats, floats, floats, counts, counts, counts, counts)
+
+
+def estimates(result):
+    return [result.avg_aoi_est, result.stderr_aoi, result.avg_energy_est, result.stderr_energy]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["slot", "cycle"]) | st.text(), CELLS, st.integers(1, 2**70), result_cells(CELLS))
+@example("slot", 0.4, 3, SimResult(2.5, 3.0, 0.0, -0.0, 100, 60, 50, 2**64 - 1))
+@example("a,b", -0.0, True, SimResult(2.5, math.nan, math.inf, 1.0, 100, 60, 50, 0))
+def test_result_emitters_equal_the_row_path(estimator, p, max_tx, result):
+    row = dict(zip(RESULT_FIELDS, [estimator, p, max_tx, *estimates(result), *result[4:]]))
+    args = result, estimator, p, max_tx
+    assert outcome(emit_result_csv, *args) == outcome(reference_table, RESULT_FIELDS, [row], "csv")
+    text = outcome(reference_table, RESULT_FIELDS, [row], "json")
+    assert outcome(emit_result_json, *args) == text
+    assert outcome(result_rows, *args) == (text if text.startswith("ValueError") else [row])
+
+
+@st.composite
+def reports(draw):
+    """Reports of 0 to 4 points whose cells repeat across points, non-finite in some."""
+    floats = draw(st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), st.floats()]))
+    shared = st.sampled_from(draw(st.lists(floats, min_size=1, max_size=3)) + [0.0, -0.0])
+    results = st.sampled_from(draw(st.lists(result_cells(shared), min_size=1, max_size=2)))
+    point = st.builds(ValidationPoint, shared, st.integers(1, 2**70), shared, shared, results, results,
+                      st.booleans(), st.booleans())
+    return ValidationReport(tuple(draw(st.lists(point, max_size=4))), draw(st.booleans()))
+
+
+def report_point(result, slot_pass):
+    return ValidationPoint(0.4, 3, 2.0, 3.0, result, result, slot_pass, True)
+
+
+@settings(deadline=None)
+@given(reports())
+@example(ValidationReport((), True))
+@example(ValidationReport((report_point(SimResult(2.0, 3.0, 0.1, -0.0, 100, 60, 50, 5), True),), True))
+@example(ValidationReport(tuple(report_point(SimResult(2.0, 3.0, 0.1, 0.1, 100, 60, 50, seed), seed % 2 == 0)
+                                for seed in range(5)), False))
+# In row order: the first point's slot_stderr_energy is reported, not the second's slot_energy.
+@example(ValidationReport((report_point(SimResult(2.0, 3.0, 0.1, math.inf, 100, 60, 50, 5), True),
+                           report_point(SimResult(2.0, math.nan, 0.1, 0.1, 100, 60, 50, 5), True)), True))
+def test_report_emitters_equal_the_row_path(report):
+    rows = [
+        dict(zip(REPORT_FIELDS, [pt.p, pt.max_tx, pt.exact_aoi, pt.exact_energy, *estimates(pt.slot), pt.slot_pass,
+                                 *estimates(pt.cycle), pt.cycle_pass]))
+        for pt in report.points
+    ]
+    verdict = {"num_points": len(rows), "num_passed": sum(bool(row["slot_pass"] and row["cycle_pass"]) for row in rows),
+               "passed": report.passed}
+    text = outcome(reference_table, REPORT_FIELDS, rows, "csv")
+    assert outcome(emit_report_csv, report) == text
+    assert outcome(emit_report_json, report) == outcome(reference_table, REPORT_FIELDS, rows, "json", verdict)
+    assert outcome(report_rows, report) == (text if text.startswith("ValueError") else rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from slot_replay import Replay, replay
 from aoilink.analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
 from aoilink.analytic import delivered_tx_count_pmf, sense_count_pmf
 from aoilink import simulator
+from aoilink.output import emit_result_csv, emit_result_json, parse_csv
 from aoilink.simulator import (
     SimConfig,
     age_trace,
@@ -51,6 +52,32 @@ def test_config_rejects_bad_values():
         make_config(batches=1)
     with pytest.raises(ValueError):
         make_config(horizon=150, warmup=100, batches=100)  # kept < batches
+
+
+def test_config_stores_plain_ints():
+    cfg = make_config(seed=True, horizon=np.int64(5000), warmup=np.uint16(100), batches=np.int32(10))
+    assert cfg[3:] == (1, 5000, 100, 10)
+    assert [type(value) for value in cfg[3:]] == [int] * 4
+
+
+@pytest.mark.parametrize("field, value", [("horizon", 1e4), ("batches", 10.5), ("seed", 7.0), ("warmup", 100.0)])
+def test_config_rejects_counts_that_are_not_integers(field, value):
+    # 1e4 and 10.5 used to pass the constructor and raise TypeError inside the run.
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        make_config(**{field: value})
+
+
+def test_bool_seed_is_emitted_as_an_int():
+    # A seed of True used to be emitted as True, which parse_csv rejects.
+    result = run_slot_sim(make_config(seed=True, horizon=5000))
+    assert parse_csv(emit_result_csv(result, "slot", 0.4, 3))[0]["seed"] == 1
+
+
+def test_numpy_seed_is_emitted_as_its_value():
+    # An np.uint64 seed used to make emit_result_json raise TypeError.
+    emitted = [emit_result_json(run_slot_sim(make_config(seed=seed, horizon=5000)), "slot", 0.4, 3)
+               for seed in (np.uint64(7), 7)]
+    assert emitted[0] == emitted[1]
 
 
 def test_config_default_warmup():
