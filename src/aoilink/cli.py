@@ -469,5 +469,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console-script entry point."""
+    """Entry point of ``aoilink`` and ``python -m aoilink``; not of :func:`main`, which leaves the environment alone."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, as numpy loads OpenBLAS; a set value wins
     raise SystemExit(main())

@@ -15,13 +15,15 @@ errors (:func:`_estimate`). Each draws and reduces in chunks of ``_CHUNK``
 at the warmup and batch edges (:func:`_batch_cuts`), and each piece is summed
 into per-batch rows of exact integers, so no result depends on the chunking.
 Randomness comes from numpy's default generator (PCG64) seeded with
-``SimConfig.seed``: one uniform per slot, or one geometric variate per cycle.
-PCG64 yields the same stream whether drawn at once or in chunks, so identical
-configs give bit-identical results on one build. The slot estimator reduces
-each chunk per run of channel outcomes (:func:`_run_sums`), in sums equal to
-those of the per-slot kernel :func:`_slot_chunk`. That kernel is the only
-per-slot replay: :func:`age_trace` yields its rows chunk by chunk, and
-:func:`write_age_trace` renders them as bytes (:func:`_csv_rows`).
+``SimConfig.seed``: one uniform per slot, or one geometric variate per cycle,
+which :func:`_geometric` draws bit for bit as ``rng.geometric`` does, by numpy's
+algorithm on whole arrays of ``standard_exponential`` or ``random`` draws (a
+test pins the two). PCG64 yields the same stream whether drawn at once or in
+chunks, so identical configs give bit-identical results on one build. The slot
+estimator reduces each chunk per run of channel outcomes (:func:`_run_sums`),
+in sums equal to those of the per-slot kernel :func:`_slot_chunk`. That kernel
+is the only per-slot replay: :func:`age_trace` yields its rows chunk by chunk,
+and :func:`write_age_trace` renders them as bytes (:func:`_csv_rows`).
 
 Timing convention: sensing happens instantly at slot start, the ACK/NACK is
 revealed at slot end, and on a success the age resets at slot end to the
@@ -311,12 +313,37 @@ def run_slot_sim(cfg: SimConfig) -> SimResult:
     return _estimate(cfg, chunks)
 
 
+def _geometric(rng: np.random.Generator, s: float, n: int) -> np.ndarray:
+    """``rng.geometric(s, n)`` bit for bit by numpy's samplers (Devroye 1986, ch. X) on whole arrays:
+    ``ceil(-E / log1p(-s))`` for a standard exponential E below s = 1/3, else the least k with U <= S_k."""
+    u = (out := np.empty(n, np.int64)).view(np.float64)  # the draws go into the result's own memory
+    if s < 1 / 3:  # z < 2**59 for s >= 2**-53 (any link), so numpy's cap of z at 2**63 never binds
+        rng.standard_exponential(out=u)
+        u /= -math.log1p(-s)  # negation is exact
+        out[...] = np.ceil(u, out=u)  # a 1-d same-direction cast in place copies nothing
+        return out
+    sums, prod, q = [s], s, 1.0 - s  # S_1 = s, S_k = S_(k-1) + (prod *= q), up to a term that adds nothing
+    while sums[-1] + prod * q != sums[-1]:
+        prod *= q
+        sums.append(sums[-1] + prod)
+    rng.random(out=u)  # one uniform U per variate
+    k = sum(x < 0.99 for x in sums) + 1  # at most about 1% of the draws lie past S_k
+    counts = np.ones(n, np.uint8)  # 1 + how many of S_1..S_k lie below U
+    for bound in sums[:k]:
+        counts += (u > bound).view(np.uint8)  # a same-type add: no cast
+    tail = np.flatnonzero(u > sums[k - 1])
+    tail_values = np.searchsorted(sums, u[tail]) + 1  # len(sums) + 1 past the last sum, where numpy loops forever
+    out[...] = counts
+    out[tail] = tail_values
+    return out
+
+
 def _cycle_chunks(link: LinkSpec, policy: Policy, seed: int, n: int):
     """The (length, delivered tx count, sensing count) arrays of n cycles, by chunk."""
     rng = np.random.default_rng(seed)
     success = 1.0 - failure_prob(link)
     for start in range(0, n, _CHUNK):
-        lengths = rng.geometric(success, min(_CHUNK, n - start))
+        lengths = _geometric(rng, success, min(_CHUNK, n - start))
         # No cycle of the chunk is longer than its longest, so a larger limit never binds.
         max_tx = min(policy.max_tx, int(lengths.max()))
         sensed = lengths - 1

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
-from .simulator import SimConfig, SimResult, _check_cycle_warmup, _check_seed, run_cycle_sim, run_slot_sim
+from .simulator import SimConfig, SimResult, _check_cycle_warmup, _check_seed, _integer, run_cycle_sim, run_slot_sim
 
 __all__ = [
     "ValidationPoint",
@@ -97,6 +97,7 @@ def build_report(
     seed and the point's position, so points are independent runs while the
     whole report stays reproducible from one seed.
     """
+    seed = _integer("seed", seed)
     _check_seed(seed)
     runs = []  # every config is built, and so checked, before any estimator runs
     for index, (p, max_tx) in enumerate((p, m) for p in p_values for m in max_tx_values):

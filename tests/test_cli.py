@@ -1498,3 +1498,54 @@ def test_validate_output_digest(capsys, fmt, size, digest):
     assert code == 0
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# ---------------------------------------------------------------------------
+# Entry points: one OpenBLAS thread unless the user set a count
+# ---------------------------------------------------------------------------
+
+# Records OPENBLAS_NUM_THREADS as numpy is first imported, then runs an entry point.
+ENTRY_SCRIPT = """
+import json, os, runpy, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+sys.argv = ["aoilink", "simulate", "--p", "0.4", "--M", "3", "--es", "1", "--et", "1", "--horizon", "1000"]
+try:
+    if {module!r}:
+        runpy.run_module("aoilink", run_name="__main__")
+    else:
+        from aoilink.cli import run
+        run()
+except SystemExit as exit:
+    print(json.dumps({{"code": exit.code, "at_import": seen, "after": os.environ.get("OPENBLAS_NUM_THREADS")}}))
+"""
+
+
+@pytest.mark.parametrize("module", [True, False], ids=["python-m", "console-script"])
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
+def test_entry_points_default_openblas_to_one_thread(module, user_value, expected):
+    src = str(Path(aoilink.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    proc = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT.format(module=module)], capture_output=True,
+                          text=True, check=True, env={**env, "PYTHONPATH": src})
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"code": 0, "at_import": [expected], "after": expected}
+
+
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_main_leaves_the_environment_alone(capsys, monkeypatch, user_value):
+    # main is what tests and in-process callers run; only the entry points set the default.
+    if user_value is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_value)
+    before = dict(os.environ)
+    code, _, _ = run_cli(capsys, ["simulate", "--p", "0.4", "--M", "3", *REF, "--horizon", "1000"])
+    assert code == 0
+    assert dict(os.environ) == before

@@ -157,6 +157,55 @@ def test_chunked_draws_equal_one_draw():
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+# Success probabilities where the geometric sampler changes branch (1/3), where
+# its sums S_k pass 0.99 (1 - 0.01**(1/k)), and the ends of the range of 1 - p.
+GEOMETRIC_EDGES = sorted({
+    x
+    for edge in (1 / 3, *(1 - 0.01 ** (1 / k) for k in range(1, 12)))
+    for x in (math.nextafter(edge, 0), edge, math.nextafter(edge, 1))
+} | {2**-53, 1 - 2**-53, 1.0})
+
+
+def with_examples(*examples):
+    def decorate(test):
+        for kwargs in examples:
+            test = example(**kwargs)(test)
+        return test
+
+    return decorate
+
+
+# Below 2**-53, which no link gives (1 - p for p < 1), numpy caps lengths at 2**63 - 1.
+@settings(deadline=None)
+@given(
+    s=st.one_of(st.floats(min_value=2**-53, max_value=1.0), st.sampled_from(GEOMETRIC_EDGES)),
+    n=st.integers(min_value=1, max_value=1 << 16),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@with_examples(*({"s": s, "n": 1 << 16, "seed": 17} for s in GEOMETRIC_EDGES))
+def test_geometric_equals_numpy_and_leaves_the_stream_where_numpy_does(s, n, seed):
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulator._geometric(ours, s, n)
+    want = numpys.geometric(s, n)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize("s", [0.01, 0.3, 1 / 3, 0.4, 0.6, 0.9, 1.0])
+def test_geometric_peak_memory_is_near_numpys(s):
+    # The draws go into the result's memory; the scratch is a few bytes per draw.
+    def peak(draw):
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            draw(rng, s, CHUNK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(simulator._geometric) <= 1.5 * peak(np.random.Generator.geometric)
+
+
 @pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches, estimates, counts", PINNED)
 def test_slot_sim_pinned(p, max_tx, seed, horizon, warmup, batches, estimates, counts):
     res = run_slot_sim(config(p, max_tx, seed, horizon, warmup, batches))

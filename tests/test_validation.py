@@ -1,8 +1,10 @@
-"""The estimator agreement criterion where its 0.5 % floor binds."""
+"""The estimator agreement criterion where its 0.5 % floor binds, and the report's seed."""
 
+import numpy as np
 import pytest
 
-from aoilink.validation import within_tolerance
+from aoilink.analytic import EnergyParams
+from aoilink.validation import build_report, within_tolerance
 
 
 # With no standard error, an estimate 0.4 % off passes and 0.6 % off fails, on
@@ -19,3 +21,18 @@ def test_three_stderrs_win_over_a_smaller_floor():
     # 3 * 0.1 = 0.3 against a floor of 0.05.
     assert within_tolerance(10.29, 0.1, 10.0)
     assert not within_tolerance(10.31, 0.1, 10.0)
+
+
+GRID = ([0.4, 0.7], [2], EnergyParams(1.0, 1.0), 5000, 5000)
+
+
+# The top seed makes the second point's seed wrap modulo 2**64.
+@pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), np.uint64(2**64 - 1)])
+def test_report_takes_a_numpy_seed(seed):
+    assert build_report(*GRID, seed) == build_report(*GRID, int(seed))
+
+
+@pytest.mark.parametrize("p_values", [[0.4], []], ids=["one-point", "empty-grid"])
+def test_report_rejects_a_float_seed(p_values):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        build_report(p_values, *GRID[1:], 7.0)
