@@ -68,7 +68,7 @@ class FixedFailureLink(_Checked, namedtuple("FixedFailureLink", "p")):
 
     def __new__(cls, p: float):
         _check_p(p)
-        return tuple.__new__(cls, (p,))
+        return tuple.__new__(cls, (float(p),))
 
 
 class RayleighLink(_Checked, namedtuple("RayleighLink", "rate noise_power tx_power")):

@@ -469,6 +469,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Entry point of ``aoilink`` and ``python -m aoilink``; not of :func:`main`, which leaves the environment alone."""
+    """Entry point of ``aoilink`` and ``python -m aoilink``; not of :func:`main`, which leaves the process alone.
+    The run's garbage is acyclic: it runs without cyclic GC and freezes the heap before exit, so the final
+    collections skip it, while atexit handlers and the flush (and flush errors) of stdout and stderr still run."""
+    import gc  # the process's GC policy is set here only, never at import time
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, as numpy loads OpenBLAS; a set value wins
-    raise SystemExit(main())
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

@@ -130,8 +130,8 @@ def _slot_chunk(fails: np.ndarray, max_tx: int, k: int, last: int):
     and ``last``, the transmission count of the last delivered packet (0
     before any). A slot with state ``(k_i, last_i)`` makes transmission
     ``k_i % max_tx + 1`` of its packet (sensed fresh when that is 1) and
-    starts at age ``last_i + k_i``. Returns the per-slot transmission counts
-    and start ages, and the state leaving the chunk.
+    starts at age ``last_i + k_i``. Returns the per-slot transmission counts, the start ages
+    of slots 0 to ``c`` (from 1 on, the slot-end ages after any reset), and the outgoing state.
     """
     c = fails.size
     pos = np.arange(k, k + c + 1)  # k plus the chunk index
@@ -144,7 +144,7 @@ def _slot_chunk(fails: np.ndarray, max_tx: int, k: int, last: int):
     m = min(max_tx, k + c)
     tx = since[:c] - since[:c] // m * m + 1  # since % m + 1; numpy's integer % is slow
     delivered = np.concatenate(([last], tx))[np.maximum(begin - k, 0)]
-    return tx, delivered[:c] + since[:c], int(since[c]), int(delivered[c])
+    return tx, delivered + since, int(since[c]), int(delivered[c])
 
 
 def _draws(link: LinkSpec, seed: int, n: int) -> Iterator[np.ndarray]:
@@ -413,8 +413,8 @@ def age_trace(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     """
     k = last = first = 0
     for fails in _draws(cfg.link, cfg.seed, cfg.horizon_slots):
-        tx, age, k, last = _slot_chunk(fails, cfg.policy.max_tx, k, last)
-        yield np.arange(first, first + fails.size), np.where(fails, age + 1, tx), ~fails
+        _, ages, k, last = _slot_chunk(fails, cfg.policy.max_tx, k, last)
+        yield np.arange(first, first + fails.size), ages[1:], ~fails
         first += fails.size
 
 
@@ -424,12 +424,12 @@ def _csv_rows(*columns: np.ndarray) -> bytes:
     Each column fills a fixed-width field of a ``uint8`` matrix, digits
     right-aligned and taken by ``// 10`` in uint32 when its values fit, else
     int64; a field's commas and the newline have columns of their own. The
-    positions left of a value's leading digit stay 0, and no other byte is 0,
-    so dropping every 0 byte leaves the rows.
+    positions left of a value's leading digit are set to 0, and no other byte
+    is 0, so dropping every 0 byte leaves the rows.
     """
     tops = [int(col.max()) for col in columns]
     widths = [len(str(top)) for top in tops]
-    out = np.zeros((len(columns[0]), sum(widths) + len(columns)), np.uint8)
+    out = np.empty((len(columns[0]), sum(widths) + len(columns)), np.uint8)  # every byte is written below
     comma = -1
     for col, top, width in zip(columns, tops, widths):
         comma += width + 1
@@ -444,7 +444,7 @@ def _csv_rows(*columns: np.ndarray) -> bytes:
             out[:, comma - 1 - place] = digit
             value = rest
     out[:, -1] = ord("\n")
-    return out[out != 0].tobytes()
+    return out.tobytes().translate(None, b"\0")
 
 
 def write_age_trace(cfg: SimConfig, path: str | Path) -> None:

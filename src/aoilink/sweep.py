@@ -80,7 +80,7 @@ class MSweep(_Checked, namedtuple("MSweep", "p_list max_tx_list energy")):
         _check_size(len(p_list) * len(max_tx_list))
         for p in p_list:
             _check_p(p)
-        return tuple.__new__(cls, (p_list, _max_tx_tuple(max_tx_list), energy))
+        return tuple.__new__(cls, (tuple(map(float, p_list)), _max_tx_tuple(max_tx_list), energy))
 
     @property
     def size(self) -> int:

@@ -39,7 +39,8 @@ class Replay:
 
     def __call__(self, fails: Iterable[bool]) -> list[SlotEvent]:
         fails = np.fromiter(fails, dtype=bool)
-        tx, age, self.k, self.last = _slot_chunk(fails, self.max_tx, self.k, self.last)
+        tx, ages, self.k, self.last = _slot_chunk(fails, self.max_tx, self.k, self.last)
+        age = ages[:-1]  # the last entry starts the slot after the chunk
         age_end = np.where(fails, age + 1, tx)
         rows = zip(fails.tolist(), tx.tolist(), age.tolist(), age_end.tolist())
         first, self.slot = self.slot, self.slot + fails.size

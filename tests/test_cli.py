@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -1501,19 +1502,23 @@ def test_validate_output_digest(capsys, fmt, size, digest):
 
 
 # ---------------------------------------------------------------------------
-# Entry points: one OpenBLAS thread unless the user set a count
+# Entry points: one OpenBLAS thread unless the user set a count, and no
+# cyclic garbage collection, with the heap frozen before exit
 # ---------------------------------------------------------------------------
 
-# Records OPENBLAS_NUM_THREADS as numpy is first imported, then runs an entry point.
+# Records OPENBLAS_NUM_THREADS and whether the collector runs as numpy is first
+# imported, then runs an entry point on argv; reports its exit code and whether
+# the heap was frozen on the way out.
 ENTRY_SCRIPT = """
-import json, os, runpy, sys
-seen = []
+import gc, json, os, runpy, sys
+seen, collecting = [], []
 class Probe:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
             seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            collecting.append(gc.isenabled())
 sys.meta_path.insert(0, Probe())
-sys.argv = ["aoilink", "simulate", "--p", "0.4", "--M", "3", "--es", "1", "--et", "1", "--horizon", "1000"]
+sys.argv = ["aoilink", *{argv!r}]
 try:
     if {module!r}:
         runpy.run_module("aoilink", run_name="__main__")
@@ -1521,21 +1526,66 @@ try:
         from aoilink.cli import run
         run()
 except SystemExit as exit:
-    print(json.dumps({{"code": exit.code, "at_import": seen, "after": os.environ.get("OPENBLAS_NUM_THREADS")}}))
+    print(json.dumps({{"code": exit.code, "at_import": seen, "after": os.environ.get("OPENBLAS_NUM_THREADS"),
+                      "collecting": collecting, "frozen": gc.get_freeze_count() > 0}}))
 """
+SIMULATE_ARGV = ["simulate", "--p", "0.4", "--M", "3", "--es", "1", "--et", "1", "--horizon", "1000"]
+
+
+def run_entry_point(module, argv=SIMULATE_ARGV, env=os.environ):
+    src = str(Path(aoilink.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT.format(module=module, argv=argv)],
+                          capture_output=True, text=True, check=True, env={**env, "PYTHONPATH": src})
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("module", [True, False], ids=["python-m", "console-script"])
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
 def test_entry_points_default_openblas_to_one_thread(module, user_value, expected):
-    src = str(Path(aoilink.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if user_value is not None:
         env["OPENBLAS_NUM_THREADS"] = user_value
-    proc = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT.format(module=module)], capture_output=True,
-                          text=True, check=True, env={**env, "PYTHONPATH": src})
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"code": 0, "at_import": [expected], "after": expected}
+    seen = run_entry_point(module, env=env)
+    assert (seen["code"], seen["at_import"], seen["after"]) == (0, [expected], expected)
+
+
+@pytest.mark.parametrize("module", [True, False], ids=["python-m", "console-script"])
+@pytest.mark.parametrize(
+    "argv, code, collecting",
+    [
+        (SIMULATE_ARGV, 0, [False]),
+        (["validate", "--p", "0.99", "--M", "1", "--slots", "20", "--batches", "2", "--seed", "1"], 1, [False]),
+        (["simulate", "--no-such-flag"], 2, []),  # argparse exits before numpy is imported
+    ],
+    ids=["simulate-0", "validate-1", "bad-flag-2"],
+)
+def test_entry_points_run_without_the_collector_and_freeze_the_heap(module, argv, code, collecting):
+    seen = run_entry_point(module, argv)
+    assert (seen["code"], seen["collecting"], seen["frozen"]) == (code, collecting, True)
+
+
+def test_entry_point_reports_a_failed_flush_at_exit():
+    # The process still shuts down normally: buffered stdout is flushed at exit, and a
+    # reader that has gone away is reported and exits 120 (os._exit would lose both).
+    src = str(Path(aoilink.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "aoilink", "analytic", "--p", "0.4", "--M", "3", *REF],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    assert "BrokenPipeError" in proc.stderr
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # Tests and in-process callers run main; only the entry points set the process's GC policy.
+    before = gc.isenabled(), gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, SIMULATE_ARGV)
+    assert code == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 @pytest.mark.parametrize("user_value", [None, "3"])

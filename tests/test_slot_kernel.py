@@ -361,7 +361,7 @@ def test_slot_sim_estimates_are_exact_sum_ratios(cfg):
     ages, senses = [], []
     for fails in simulator._draws(cfg.link, cfg.seed, cfg.horizon_slots):
         tx, age, k, last = _slot_chunk(fails, cfg.policy.max_tx, k, last)
-        ages += age.tolist()
+        ages += age[:-1].tolist()
         senses += (tx == 1).tolist()
     slots = cfg.horizon_slots - cfg.warmup_slots
     twice_area = sum(2 * a + 1 for a in ages[cfg.warmup_slots :])

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -146,6 +147,24 @@ def test_bool_and_numpy_max_tx_are_stored_as_plain_ints():
     assert type(spec.max_tx_list[0]) is int and type(ref_power_spec((np.int64(3),)).max_tx_list[0]) is int
     for emit in (emit_csv, emit_json):
         assert emit(m_sweep(spec)) == emit(m_sweep(MSweep((0.4,), (3,), REF_ENERGY)))
+
+
+@pytest.mark.parametrize(
+    "p, value",
+    [(False, 0.0), (0, 0.0), (Fraction(2, 5), 0.4), ("float32", float.fromhex("0x1.99999ap-2"))],
+    ids=["bool", "int", "fraction", "numpy-float32"],
+)
+def test_p_is_stored_as_a_plain_float(p, value):
+    # A p of False was emitted as "p": false and an int p as 0; a Fraction p made
+    # the sweep's label or emit_csv raise TypeError, and a numpy p made emit_json raise.
+    if p == "float32":
+        p = pytest.importorskip("numpy").float32(0.4)
+    spec = MSweep((p,), (1, 2), REF_ENERGY)
+    assert type(spec.p_list[0]) is float and type(FixedFailureLink(p).p) is float
+    for emit in (emit_csv, emit_json):
+        assert emit(m_sweep(spec)) == emit(m_sweep(MSweep((value,), (1, 2), REF_ENERGY)))
+        curve = [TradeoffCurve("x", [evaluate(FixedFailureLink(p), 2, REF_ENERGY)])]
+        assert emit(curve) == emit([TradeoffCurve("x", [evaluate(FixedFailureLink(value), 2, REF_ENERGY)])])
 
 
 def test_m_sweep_points_reproducible_standalone():
