@@ -10,7 +10,9 @@ This module evaluates the stationary distributions of that process (success
 cycle length, transmission count of the delivered packet, sensing count per
 cycle), the resulting average age-of-information and average energy
 consumption, and the link-budget helpers that derive ``p`` from
-Rayleigh-fading parameters.
+Rayleigh-fading parameters. The value types check each field once and store
+it as a plain ``float`` or ``int`` (a str raises ValueError); the public
+functions check their arguments, the kernels behind the sweeps do not.
 
 Everything here is pure and stateless; safe to call from concurrent threads.
 """
@@ -67,8 +69,7 @@ class FixedFailureLink(_Checked, namedtuple("FixedFailureLink", "p")):
     __slots__ = ()
 
     def __new__(cls, p: float):
-        _check_p(p)
-        return tuple.__new__(cls, (float(p),))
+        return tuple.__new__(cls, (_check_p(p),))
 
 
 class RayleighLink(_Checked, namedtuple("RayleighLink", "rate noise_power tx_power")):
@@ -77,10 +78,8 @@ class RayleighLink(_Checked, namedtuple("RayleighLink", "rate noise_power tx_pow
     __slots__ = ()
 
     def __new__(cls, rate: float, noise_power: float, tx_power: float):  # bits/s/Hz, watts, watts
-        _check_nonnegative("rate", rate)
-        _check_positive("noise power", noise_power)
-        _check_positive("transmit power", tx_power)
-        return tuple.__new__(cls, (rate, noise_power, tx_power))
+        return tuple.__new__(cls, (_check_nonnegative("rate", rate), _check_positive("noise power", noise_power),
+                                   _check_positive("transmit power", tx_power)))
 
 
 LinkSpec = FixedFailureLink | RayleighLink
@@ -93,14 +92,15 @@ class PowerModel(_Checked, namedtuple("PowerModel", "circuit_power inv_drain_eff
 
     # Powers in watts; inv_drain_eff is the inverse drain efficiency of the power amplifier.
     def __new__(cls, circuit_power: float, inv_drain_eff: float, tx_power: float, max_power: float):
-        _check_nonnegative("circuit power", circuit_power)
-        _check_positive("inverse drain efficiency", inv_drain_eff)
-        if not 0.0 < tx_power <= max_power < math.inf:
+        circuit_power = _check_nonnegative("circuit power", circuit_power)
+        inv_drain_eff = _check_positive("inverse drain efficiency", inv_drain_eff)
+        pt, pmax = _real("transmit power", tx_power), _real("max power", max_power)
+        if not 0.0 < pt <= pmax < math.inf:
             raise ValueError(
                 f"transmit power must satisfy 0 < Pt <= Pmax, both finite, "
                 f"got Pt={tx_power}, Pmax={max_power}"
             )
-        return tuple.__new__(cls, (circuit_power, inv_drain_eff, tx_power, max_power))
+        return tuple.__new__(cls, (circuit_power, inv_drain_eff, pt, pmax))
 
 
 class Policy(_Checked, namedtuple("Policy", "max_tx")):
@@ -109,8 +109,7 @@ class Policy(_Checked, namedtuple("Policy", "max_tx")):
     __slots__ = ()
 
     def __new__(cls, max_tx: int):
-        _check_max_tx(max_tx)
-        return tuple.__new__(cls, (operator.index(max_tx),))
+        return tuple.__new__(cls, (_check_max_tx(max_tx),))
 
 
 class EnergyParams(_Checked, namedtuple("EnergyParams", "sense_energy tx_energy")):
@@ -120,9 +119,8 @@ class EnergyParams(_Checked, namedtuple("EnergyParams", "sense_energy tx_energy"
     __slots__ = ()
 
     def __new__(cls, sense_energy: float, tx_energy: float):  # joules per sensing event, per transmission slot
-        _check_nonnegative("sense energy", sense_energy)
-        _check_nonnegative("tx energy", tx_energy)
-        return tuple.__new__(cls, (sense_energy, tx_energy))
+        return tuple.__new__(cls, (_check_nonnegative("sense energy", sense_energy),
+                                   _check_nonnegative("tx energy", tx_energy)))
 
 
 class MetricPoint(namedtuple("MetricPoint", "p max_tx avg_aoi avg_energy tx_power_dbm", defaults=(None,))):
@@ -177,28 +175,45 @@ def noise_from_reference_snr(p_ref: float, snr_ref_db: float) -> float:
         raise ValueError(f"reference SNR of {snr_ref_db} dB is past the float range") from None
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 <= p < 1.0:
+def _integer(name: str, value: int) -> int:
+    if not hasattr(type(value), "__index__"):  # as operator.index: ints, bools and numpy ints, not 2.5, 1e4 or "2"
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _real(name: str, value: float) -> float:
+    if not hasattr(type(value), "__float__"):  # a str has none
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction past the float range: the range checks reject it
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_p(p: float) -> float:
+    if not 0.0 <= (x := _real("failure probability", p)) < 1.0:
         raise ValueError(f"failure probability must be in [0, 1), got {p}")
+    return x
 
 
-def _check_max_tx(max_tx: int) -> None:
-    if not hasattr(type(max_tx), "__index__"):  # as operator.index: ints and numpy ints, not 2.5 or 3.0
-        raise ValueError(f"max_tx must be an integer, got {max_tx!r}")
-    if max_tx < 1:
+def _check_max_tx(max_tx: int) -> int:
+    if (max_tx := _integer("max_tx", max_tx)) < 1:
         raise ValueError(f"max_tx must be >= 1, got {max_tx}")
     if max_tx > sys.float_info.max:  # an int and a float compare exactly
         raise ValueError("max_tx is past the float range (about 1.8e308)")
+    return max_tx
 
 
-def _check_nonnegative(name: str, value: float) -> None:
-    if not 0.0 <= value < math.inf:  # also false for NaN
+def _check_nonnegative(name: str, value: float) -> float:
+    if not 0.0 <= (x := _real(name, value)) < math.inf:  # also false for NaN
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return x
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
+def _check_positive(name: str, value: float) -> float:
+    if not 0.0 < (x := _real(name, value)) < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return x
 
 
 def pow_complement(p: float, max_tx: int) -> tuple[float, float]:
@@ -208,8 +223,11 @@ def pow_complement(p: float, max_tx: int) -> tuple[float, float]:
     exp/expm1, which keeps the relative error of both terms near machine
     epsilon even for p close to 1 and very large max_tx.
     """
-    _check_p(p)
-    _check_max_tx(max_tx)
+    return _pow_complement(_check_p(p), _check_max_tx(max_tx))
+
+
+def _pow_complement(p: float, max_tx: int) -> tuple[float, float]:
+    """:func:`pow_complement` of a checked float p and int max_tx, unchecked."""
     if p == 0.0:
         return 0.0, 1.0
     if max_tx == 1:
@@ -223,7 +241,7 @@ def cycle_length_pmf(m: int, p: float) -> float:
 
     Out-of-support m (< 1) returns 0 so tail summations stay total.
     """
-    _check_p(p)
+    p = _check_p(p)
     if m < 1:
         return 0.0
     return p ** (m - 1) * (1.0 - p)
@@ -231,7 +249,7 @@ def cycle_length_pmf(m: int, p: float) -> float:
 
 def cycle_length_moments(p: float) -> tuple[float, float]:
     """Mean and second moment of the success cycle length in slots."""
-    _check_p(p)
+    p = _check_p(p)
     q = 1.0 - p
     return 1.0 / q, (1.0 + p) / (q * q)
 
@@ -286,8 +304,7 @@ def delivered_tx_count_mean(p: float, max_tx: int) -> float:
     ``1 + g(x) - max_tx g(max_tx x)``, ``g(t) = 1/expm1(t) - 1/t``, whose
     terms have the same sign.
     """
-    _check_p(p)
-    _check_max_tx(max_tx)
+    p, max_tx = _check_p(p), _check_max_tx(max_tx)
     if p == 0.0:
         return 1.0
     x = -math.log(p)
@@ -313,8 +330,8 @@ def sense_count_mean(p: float, max_tx: int) -> float:
 
 
 def _age_and_rate(p: float, max_tx: int) -> tuple[float, float]:
-    """Average age and sensing rate per slot (energy: ``rate * Es + Et``), one pow_complement."""
-    pm, comp = pow_complement(p, max_tx)
+    """Average age and sensing rate per slot (energy: ``rate * Es + Et``) of checked p and M."""
+    pm, comp = _pow_complement(p, max_tx)
     return (3.0 + p) / (2.0 * (1.0 - p)) - max_tx * pm / comp, (1.0 - p) / comp
 
 
@@ -325,7 +342,7 @@ def avg_aoi(p: float, max_tx: int) -> float:
     divided by the mean cycle length collapses to
     ``(3 + p) / (2 (1 - p)) - max_tx * p**max_tx / (1 - p**max_tx)``.
     """
-    return _age_and_rate(p, max_tx)[0]
+    return _age_and_rate(_check_p(p), _check_max_tx(max_tx))[0]
 
 
 def avg_energy(p: float, max_tx: int, energy: EnergyParams) -> float:
@@ -334,7 +351,7 @@ def avg_energy(p: float, max_tx: int, energy: EnergyParams) -> float:
     Every slot pays the transmit energy; sensing is paid once per generated
     packet, i.e. at rate ``(1 - p) / (1 - p**max_tx)`` per slot.
     """
-    return _age_and_rate(p, max_tx)[1] * energy.sense_energy + energy.tx_energy
+    return _age_and_rate(_check_p(p), _check_max_tx(max_tx))[1] * energy.sense_energy + energy.tx_energy
 
 
 def evaluate(
@@ -344,6 +361,6 @@ def evaluate(
     tx_power_dbm: float | None = None,
 ) -> MetricPoint:
     """Evaluate one parameter combination into a MetricPoint."""
-    p = failure_prob(link)
+    p, max_tx = failure_prob(link), _check_max_tx(max_tx)
     age, rate = _age_and_rate(p, max_tx)
-    return MetricPoint(p, operator.index(max_tx), age, rate * energy.sense_energy + energy.tx_energy, tx_power_dbm)
+    return MetricPoint(p, max_tx, age, rate * energy.sense_energy + energy.tx_energy, tx_power_dbm)

@@ -5,8 +5,9 @@ CSV floats are printed with 9 significant digits and JSON floats exactly, so an
 emitted file parses and re-emits to the same bytes. Missing fields are empty in
 CSV and null in JSON; a non-finite value is rejected, never printed. Every table
 (curves, results, reports, and row dicts) is rendered from its columns by one
-renderer, which prints each distinct cell of a column once per call; its text is
-that of ``csv.writer`` and of ``json.dumps(rows, indent=2)`` over the row dicts.
+renderer, which prints each distinct cell of a column once per call; its JSON is
+that of ``json.dumps(rows, indent=2)`` over the row dicts, and its CSV quotes text
+cells by Python 3.13's ``csv.writer`` rule on every Python (a NUL is rejected).
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ REPORT_FIELDS = (
 
 
 def _quote(text: object) -> str:
-    """``text`` as csv.writer prints it inside a row, quoted where that writer quotes it (which
-    varies with the Python version: 3.13 quotes a carriage return, 3.12 does not)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
+    """``str(text)`` as a CSV cell, on every Python: quoted, each ``"`` doubled, if it holds a
+    comma, a quote, a newline or a carriage return (as csv.writer quotes from Python 3.13 on)."""
+    if "\0" in (text := str(text)):
+        raise ValueError(f"a CSV text cell cannot hold a NUL, got {text!r}")
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n\r') else text
 
 
 # Each cell type as (CSV printer, parser) of a cell that is not empty; None

@@ -33,7 +33,6 @@ number of slots the delivered packet spent in transmission.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import partial
@@ -42,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import EnergyParams, LinkSpec, Policy, _Checked, failure_prob
+from .analytic import EnergyParams, LinkSpec, Policy, _Checked, _integer, failure_prob
 
 __all__ = [
     "SimConfig",
@@ -57,15 +56,10 @@ __all__ = [
 _CHUNK = 1 << 16  # slots or cycles per kernel call; bounds both estimators' memory
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
+def _check_seed(seed: int) -> int:
+    if not 0 <= (seed := _integer("seed", seed)) < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-
-def _integer(name: str, value: int) -> int:
-    if not hasattr(type(value), "__index__"):  # as operator.index: ints, bools and numpy ints, not 1e4
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    return seed
 
 
 def _check_cycle_warmup(cfg: SimConfig) -> None:
@@ -92,8 +86,8 @@ class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horiz
 
     def __new__(cls, link: LinkSpec, policy: Policy, energy: EnergyParams, seed: int, horizon_slots: int,
                 warmup_slots: int | None = None, batches: int = 100):
-        seed, horizon_slots, batches = map(_integer, ("seed", "horizon", "batches"), (seed, horizon_slots, batches))
-        _check_seed(seed)
+        seed = _check_seed(seed)
+        horizon_slots, batches = _integer("horizon", horizon_slots), _integer("batches", batches)
         if horizon_slots < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon_slots}")
         if warmup_slots is None:

@@ -14,9 +14,9 @@ a power sweep builds each dBm point's link and transmit energy once for all M.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 from .analytic import (
     EnergyParams,
@@ -29,6 +29,7 @@ from .analytic import (
     _check_nonnegative,
     _check_p,
     _check_positive,
+    _real,
     dbm_to_watts,
     evaluate,  # noqa: F401  (kept as ``sweep.evaluate``: perfbench's tracer wraps it)
     failure_prob,
@@ -66,21 +67,21 @@ def _check_size(points: int) -> None:
         raise ValueError(f"sweep of {points} points exceeds the limit of {MAX_GRID_POINTS}")
 
 
+def _nonempty(name: str, values: Iterable) -> tuple:
+    if not (values := tuple(values)):
+        raise ValueError(f"{name} must not be empty")
+    return values
+
+
 class MSweep(_Checked, namedtuple("MSweep", "p_list max_tx_list energy")):
     """Sweep the retransmission limit for each fixed failure probability."""
 
     __slots__ = ()
 
     def __new__(cls, p_list: Iterable[float], max_tx_list: Iterable[int], energy: EnergyParams):
-        p_list, max_tx_list = tuple(p_list), tuple(max_tx_list)
-        if not p_list:
-            raise ValueError("p_list must not be empty")
-        if not max_tx_list:
-            raise ValueError("max_tx_list must not be empty")
+        p_list, max_tx_list = _nonempty("p_list", p_list), _nonempty("max_tx_list", max_tx_list)
         _check_size(len(p_list) * len(max_tx_list))
-        for p in p_list:
-            _check_p(p)
-        return tuple.__new__(cls, (tuple(map(float, p_list)), _max_tx_tuple(max_tx_list), energy))
+        return tuple.__new__(cls, (tuple(map(_check_p, p_list)), tuple(map(_check_max_tx, max_tx_list)), energy))
 
     @property
     def size(self) -> int:
@@ -102,14 +103,14 @@ class PowerSweep(_Checked, namedtuple("PowerSweep", "dbm_min dbm_max dbm_step ma
     def __new__(cls, dbm_min: float, dbm_max: float, dbm_step: float, max_tx_list: Iterable[int], rate: float,
                 snr_ref_db: float, ref_power_dbm: float, sense_energy: float, circuit_power: float,
                 inv_drain_eff: float, max_power: float):  # max_power in watts
-        max_tx_list = tuple(max_tx_list)
-        if not max_tx_list:
-            raise ValueError("max_tx_list must not be empty")
-        _check_size(_grid_count(dbm_min, dbm_max, dbm_step) * len(max_tx_list))
-        max_tx_list = _max_tx_tuple(max_tx_list)
-        _check_nonnegative("sense energy", sense_energy)
-        return tuple.__new__(cls, (dbm_min, dbm_max, dbm_step, max_tx_list, rate, snr_ref_db, ref_power_dbm,
-                                   sense_energy, circuit_power, inv_drain_eff, max_power))
+        max_tx_list = _nonempty("max_tx_list", max_tx_list)
+        grid = tuple(map(_real, ("dbm_min", "dbm_max", "dbm_step"), (dbm_min, dbm_max, dbm_step)))
+        _check_size(_grid_count(*grid) * len(max_tx_list))
+        checked = (*grid, tuple(map(_check_max_tx, max_tx_list)), _check_nonnegative("rate", rate),
+                   _real("snr_ref_db", snr_ref_db), _real("ref_power_dbm", ref_power_dbm),
+                   _check_nonnegative("sense energy", sense_energy))
+        pm = PowerModel(circuit_power, inv_drain_eff, max_power, max_power)  # checks the amplifier at full power
+        return tuple.__new__(cls, (*checked, pm.circuit_power, pm.inv_drain_eff, pm.max_power))
 
     @property
     def size(self) -> int:
@@ -130,15 +131,10 @@ class EsSweep(_Checked, namedtuple("EsSweep", "es_list base normalizer", default
     __slots__ = ()
 
     def __new__(cls, es_list: Iterable[float], base: MSweep | PowerSweep, normalizer: float | None = None):
-        es_list = tuple(es_list)
-        if not es_list:
-            raise ValueError("es_list must not be empty")
+        es_list = _nonempty("es_list", es_list)
         _check_size(len(es_list) * base.size)
-        for es in es_list:
-            _check_nonnegative("sense energy", es)
-        if normalizer is not None:
-            _check_positive("normalizer", normalizer)
-        return tuple.__new__(cls, (es_list, base, normalizer))
+        return tuple.__new__(cls, (tuple(map(_check_nonnegative, repeat("sense energy"), es_list)), base,
+                                   None if normalizer is None else _check_positive("normalizer", normalizer)))
 
 
 class TradeoffCurve(_Checked, namedtuple("TradeoffCurve", "label points normalizer", defaults=(None,))):
@@ -149,13 +145,6 @@ class TradeoffCurve(_Checked, namedtuple("TradeoffCurve", "label points normaliz
 
     def __new__(cls, label: str, points: Iterable[MetricPoint], normalizer: float | None = None):
         return tuple.__new__(cls, (label, tuple(points), normalizer))
-
-
-def _max_tx_tuple(max_tx_list: tuple) -> tuple[int, ...]:
-    """The limits as plain ints, once each has passed the check."""
-    for m in max_tx_list:
-        _check_max_tx(m)
-    return tuple(map(operator.index, max_tx_list))
 
 
 def _grid_count(dbm_min: float, dbm_max: float, dbm_step: float) -> int:

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
-from .simulator import SimConfig, SimResult, _check_cycle_warmup, _check_seed, _integer, run_cycle_sim, run_slot_sim
+from .simulator import SimConfig, SimResult, _check_cycle_warmup, _check_seed, run_cycle_sim, run_slot_sim
 
 __all__ = [
     "ValidationPoint",
@@ -97,8 +97,7 @@ def build_report(
     seed and the point's position, so points are independent runs while the
     whole report stays reproducible from one seed.
     """
-    seed = _integer("seed", seed)
-    _check_seed(seed)
+    seed = _check_seed(seed)
     runs = []  # every config is built, and so checked, before any estimator runs
     for index, (p, max_tx) in enumerate((p, m) for p in p_values for m in max_tx_values):
         point_seed = (seed + 1_000_003 * index) % 2**64
@@ -106,7 +105,7 @@ def build_report(
         policy = Policy(max_tx)
         configs = [SimConfig(link, policy, energy, point_seed, n, batches=batches) for n in (slots, cycles)]
         _check_cycle_warmup(configs[1])
-        runs.append((p, max_tx, *configs))
+        runs.append((link.p, policy.max_tx, *configs))  # the grid values as the checks stored them
     # The estimators are looked up at call time, so a wrapped binding is the one called.
     results = _in_parallel(
         [lambda cfg=cfg: run_cycle_sim(cfg) for *_, cfg in runs]  # the longer runs first

@@ -8,8 +8,11 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 import aoilink
 import aoilink.cli as cli
 import aoilink.validation as validation
-from aoilink.analytic import EnergyParams, FixedFailureLink, MetricPoint, Policy
+from aoilink.analytic import EnergyParams, FixedFailureLink, MetricPoint, Policy, RayleighLink, evaluate
 from aoilink.cli import main, parse_float_list, parse_int_list
 from aoilink.cli import CliError
 from aoilink.output import (
@@ -39,7 +42,7 @@ from aoilink.output import (
     rows_to_json,
 )
 from aoilink.simulator import SimConfig, SimResult, run_cycle_sim, run_slot_sim
-from aoilink.sweep import MSweep, PowerSweep, TradeoffCurve, m_sweep, normalize_curve, power_sweep
+from aoilink.sweep import EsSweep, MSweep, PowerSweep, TradeoffCurve, es_sweep, m_sweep, normalize_curve, power_sweep
 from aoilink.validation import ValidationPoint, ValidationReport
 
 REF = ["--es", "4.02308", "--et", "4.02308"]
@@ -970,6 +973,84 @@ def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     assert not list(tmp_path.rglob("*.part"))
 
 
+# The library's number vocabulary. Mostly a value of a field's ordinary range,
+# passed as a float, a Fraction, a Decimal, or a numpy float or (if integral) int
+# of each width; one draw in ten is a str or a special: bools, signed zeros,
+# subnormals, ints past 2**63 and past the float range, nan and infinities.
+# Limits are ints passed as themselves or as a numpy int of each width; one draw
+# in ten is a bool, a float, a str or a special.
+FLOAT_KINDS = [float, Fraction, Decimal, np.float16, np.float32, np.float64, np.longdouble]
+INT_KINDS = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+SPECIALS = [True, False, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2**63 + 1, 2**64, 10**400, -(10**400),
+            Fraction(10**400, 3), Decimal("1e400"), Decimal("-0"), Decimal("NaN"), Decimal("sNaN"),
+            math.nan, math.inf, -math.inf, "inf", ""]
+
+
+def mostly(usual, rare):
+    return st.sampled_from([usual] * 9 + [rare]).flatmap(lambda values: values)
+
+
+def numbers(low, high):
+    values, ints = st.floats(low, high), st.integers(max(0, math.ceil(low)), min(100, math.floor(high)))
+    return mostly(st.builds(lambda kind, value: kind(value), st.sampled_from(FLOAT_KINDS), values)
+                  | st.builds(lambda kind, value: kind(value), st.sampled_from(INT_KINDS), ints),
+                  values.map(str) | st.sampled_from(SPECIALS))
+
+
+def limits():
+    values = st.integers(1, 12)
+    return mostly(st.builds(lambda kind, value: kind(value), st.sampled_from(INT_KINDS), values),
+                  values.map(str) | values.map(float) | st.booleans() | st.just(0) | st.sampled_from(SPECIALS))
+
+
+P, M, ENERGY = numbers(0.0, 0.999), limits(), numbers(0.0, 1e3)
+DBM, LOW_DBM, HIGH_DBM, DB = numbers(-40.0, 40.0), numbers(-40.0, 0.0), numbers(0.0, 20.0), numbers(-50.0, 50.0)
+STEP, RATE, ETA, WATTS = numbers(0.5, 20.0), numbers(0.0, 20.0), numbers(0.1, 50.0), numbers(0.1, 10.0)
+
+
+def library_curves(draw, call):
+    """The curves of one closed-form library call, its arguments drawn by ``draw``."""
+    def some(values):
+        return draw(st.lists(values, min_size=1, max_size=3))
+
+    def energy():
+        return EnergyParams(draw(ENERGY), draw(ENERGY))
+
+    def base(kind):
+        if kind == "m":
+            return MSweep(some(P), some(M), energy())
+        return PowerSweep(draw(LOW_DBM), draw(HIGH_DBM), draw(STEP), some(M), draw(RATE), draw(DB), draw(DBM),
+                          draw(ENERGY), draw(ENERGY), draw(ETA), draw(WATTS))
+
+    if call == "evaluate":
+        link = FixedFailureLink(draw(P)) if draw(st.booleans()) else RayleighLink(draw(RATE), draw(WATTS), draw(WATTS))
+        return [TradeoffCurve("x", [evaluate(link, draw(M), energy())])]
+    if call == "es":
+        return es_sweep(EsSweep(some(ENERGY), base(draw(st.sampled_from(["m", "power"]))), draw(st.none() | WATTS)))
+    return (m_sweep if call == "m" else power_sweep)(base(call))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["evaluate", "m", "power", "es"]))
+def test_fuzzed_library_calls_raise_value_error_or_round_trip(data, call):
+    # Any number a library caller may pass to the value types and sweeps either
+    # raises ValueError (any other exception fails the test), or gives curves
+    # whose CSV and JSON parse back to the values of their rows, each float
+    # column a float and M an int.
+    try:
+        curves = library_curves(data.draw, call)
+        csv_text, json_text = emit_csv(curves), emit_json(curves)
+    except ValueError:
+        return
+    rows = curve_rows(curves)
+    for row in parse_json(json_text):
+        assert type(row.pop("label")) is str and type(row.pop("M")) is int
+        assert all(value is None or type(value) is float for value in row.values()), row
+    assert parse_json(json_text) == rows and rows_to_json(parse_json(json_text)) == json_text
+    printed = [{name: float(f"{v:.9g}") if type(v) is float else v for name, v in row.items()} for row in rows]
+    assert parse_csv(csv_text) == printed and rows_to_csv(parse_csv(csv_text)) == csv_text
+
+
 # ---------------------------------------------------------------------------
 # Import cost: the closed-form path never loads numpy
 # ---------------------------------------------------------------------------
@@ -1306,16 +1387,16 @@ def labelled(label):
 
 
 def outcome(emit, *args):
-    """The emitted text, or the type and message of the error raised instead
-    (csv.Error: Python 3.10's csv.writer cannot write a NUL)."""
+    """The emitted text, or the type and message of the error raised instead."""
     try:
         return emit(*args)
-    except (ValueError, csv.Error) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-# The emitters' reference, independent of aoilink.output: csv.writer and
-# json.dumps(indent=2) over row dicts built here, with the README's cell rules.
+# The emitters' reference, independent of aoilink.output: CSV rows joined here by
+# the README's fixed text rule (not the running Python's csv.writer, whose quoting
+# varies with the version) and json.dumps(indent=2) over row dicts built here.
 TEXT_COLUMNS = {"label", "estimator"}
 INT_COLUMNS = {"M", "slots", "packets_generated", "successes", "seed"}
 BOOL_COLUMNS = {"slot_pass", "cycle_pass"}
@@ -1326,9 +1407,21 @@ def reference_cell(name, value):
         return ""
     if name in BOOL_COLUMNS:
         return "true" if value else "false"
-    if name in TEXT_COLUMNS or name in INT_COLUMNS:
+    if name in TEXT_COLUMNS:
+        return reference_text(str(value))
+    if name in INT_COLUMNS:
         return str(value)  # integers in full
     return f"{value:.9g}"
+
+
+def reference_text(text):
+    """A text cell: quoted, each quote doubled, if it holds a comma, a quote, a
+    newline or a carriage return (as Python 3.13's csv.writer quotes); a NUL raises."""
+    if "\x00" in text:
+        raise ValueError(f"a CSV text cell cannot hold a NUL, got {text!r}")
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def reference_table(fields, rows, fmt, verdict=None):
@@ -1341,11 +1434,8 @@ def reference_table(fields, rows, fmt, verdict=None):
                 raise ValueError(f"{name} is {value}: the inputs are past the float range")
     if fmt == "json":
         return json.dumps(rows if verdict is None else {"points": rows, **verdict}, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows([reference_cell(name, row[name]) for name in fields] for row in rows)
-    return buf.getvalue()
+    lines = [fields] + [[reference_cell(name, row[name]) for name in fields] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 @settings(deadline=None)
@@ -1358,8 +1448,9 @@ def reference_table(fields, rows, fmt, verdict=None):
 @example(labelled("50%"))
 @example(labelled("{}"))
 @example(labelled("l\nm"))
-@example(labelled("\r"))  # quoted by csv.writer from Python 3.13 on
-@example(labelled("\x00"))  # csv.writer raises on Python 3.10
+@example(labelled("\r"))  # quoted on every Python (csv.writer quotes it from 3.13 on)
+@example(labelled("a\rb"))
+@example(labelled("\x00"))  # rejected on every Python (csv.writer raises on 3.10 only)
 @example(labelled("Es=1 \u00b5J \u2206 \U0001f4e1"))
 # Non-finite cells in two columns: the age of the first row is reported, though the
 # fast check meets the second row's p first.
@@ -1378,6 +1469,29 @@ def test_curve_emitters_equal_the_row_path(curves):
     text = outcome(reference_table, CURVE_FIELDS, rows, "json")
     assert outcome(emit_json, curves) == text
     assert outcome(curve_rows, curves) == (text if text.startswith("ValueError") else rows)
+
+
+@pytest.mark.parametrize(
+    "label, cell",
+    [("a\rb", '"a\rb"'), ("a,b", '"a,b"'), ('q"x', '"q""x"'), ("l\nm", '"l\nm"'), (" a\tb ", " a\tb ")],
+)
+def test_csv_text_cells_print_by_one_rule(label, cell):
+    # A carriage return was quoted only from Python 3.13 on, so on 3.10-3.12
+    # a label "a\rb" printed bare, and parse_csv split its row.
+    text = emit_csv(labelled(label))
+    assert text.split("\n", 1)[1].startswith(cell + ",0.4,")
+    rows = parse_csv(text)
+    assert [row["label"] for row in rows] == [label] * 4 and rows_to_csv(rows) == text
+    assert emit_result_csv(simulated_results()["slot"], label, 0.4, 3).split("\n", 1)[1].startswith(cell + ",")
+
+
+def test_csv_rejects_a_nul_in_a_text_cell():
+    # Python 3.10's csv.writer raised csv.Error on a NUL and later ones printed it.
+    for emit in (lambda: emit_csv(labelled("a\x00b")), lambda: rows_to_csv([{"label": "\x00"}]),
+                 lambda: emit_result_csv(simulated_results()["slot"], "\x00", 0.4, 3)):
+        with pytest.raises(ValueError, match="cannot hold a NUL"):
+            emit()
+    assert parse_json(emit_json(labelled("a\x00b")))[0]["label"] == "a\x00b"
 
 
 CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0, -0.0, math.inf, math.nan])

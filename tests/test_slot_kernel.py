@@ -467,6 +467,77 @@ def test_run_sums_equal_the_per_slot_kernel(fails, max_tx, k, last, cut_set):
     assert _run_sums(fails, max_tx, k, last, cuts) == want
 
 
+# ---------------------------------------------------------------------------
+# The exact bridge between the estimators: on one sample path the slot
+# estimator's per-run sums are the cycle estimator's per-cycle formulas.
+# ---------------------------------------------------------------------------
+
+
+def cycle_formulas(lengths, max_tx):
+    """Slots, twice the age area, sensing events and deliveries of whole success
+    cycles of ``lengths`` slots from the initial state: sum L, sum L (2 D_prev + L)
+    with D_0 = 0 and D = (L - 1) % M + 1, sum ceil(L / M), one delivery per cycle."""
+    delivered = [(y - 1) % max_tx + 1 for y in lengths]
+    twice_area = sum(y * (2 * d + y) for y, d in zip(lengths, [0, *delivered[:-1]]))
+    return sum(lengths), twice_area, sum(-(-y // max_tx) for y in lengths), len(lengths), delivered[-1]
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=30),
+    st.one_of(st.integers(min_value=1, max_value=8), st.just(HUGE_M)),
+    st.sets(st.integers(min_value=1, max_value=399), max_size=5),
+)
+@example([1, 1, 1], 1, set())  # no failure at all
+@example([7, 3, 9], 3, {2, 8})  # chunks entered inside a failure run, and on a delivery
+def test_run_sums_equal_the_cycle_formulas(lengths, max_tx, edges):
+    # A fail stream of whole cycles (L - 1 failures and a delivery each), fed to
+    # _run_sums in chunks split at ``edges`` with the state carried between them.
+    fails = np.array([i < y - 1 for y in lengths for i in range(y)])
+    bounds = [0, *sorted(x for x in edges if x < fails.size), fails.size]
+    slots = twice_area = senses = deliveries = k = last = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        (ages,), (sensed,), (delivered,), k, last = _run_sums(fails[lo:hi], max_tx, k, last, [0, hi - lo])
+        slots, twice_area = slots + hi - lo, twice_area + 2 * ages + hi - lo
+        senses, deliveries = senses + sensed, deliveries + delivered
+    assert k == 0  # the stream ends on a delivery
+    assert (slots, twice_area, senses, deliveries, last) == cycle_formulas(lengths, max_tx)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.floats(min_value=0.0, max_value=0.9),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=3_000, max_value=200_000),
+    st.integers(min_value=2, max_value=50),
+    st.integers(min_value=256, max_value=4096),
+)
+@example(0.0, 1, 5, 3_000, 2, 256)  # every cycle is one slot
+@example(0.2, 3, 7, 150_000, 10, 4096)
+def test_cycle_sim_on_the_slot_sims_cycles_gives_its_estimates(p, max_tx, seed, slots, batches, warmup):
+    # run_cycle_sim, drawing the cycle lengths of run_slot_sim's own stream, gives
+    # bit-equal estimates and counters: the slot run ends on its last delivery, and
+    # its warmup is the slots of the cycle run's ``warmup`` cycles. Each run is cut
+    # into chunks of its warmup, so both warmups end on a chunk edge. The standard
+    # errors differ, since the batch edges do.
+    cfg = config(p, max_tx, seed, slots, 0, batches)
+    fails = np.concatenate(list(simulator._draws(cfg.link, seed, slots)))
+    ends = np.flatnonzero(~fails)
+    lengths = np.diff(ends, prepend=-1)
+    assume(lengths.size >= warmup + 2 * batches)
+    warmup_slots = int(ends[warmup - 1]) + 1
+    drawn = iter(lengths[i : i + warmup] for i in range(0, lengths.size, warmup))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_CHUNK", warmup_slots)
+        slot_res = run_slot_sim(cfg._replace(horizon_slots=int(ends[-1]) + 1, warmup_slots=warmup_slots))
+        mp.setattr(simulator, "_CHUNK", warmup)
+        mp.setattr(simulator, "_geometric", lambda rng, s, n: next(drawn)[:n].copy())
+        cycle_res = run_cycle_sim(cfg._replace(horizon_slots=lengths.size, warmup_slots=warmup))
+    assert (cycle_res.avg_aoi_est, cycle_res.avg_energy_est) == (slot_res.avg_aoi_est, slot_res.avg_energy_est)
+    assert (cycle_res.slots, cycle_res.packets_generated, cycle_res.successes) == (
+        slot_res.slots, slot_res.packets_generated, slot_res.successes)
+
+
 def rows_by_format(*columns):
     return "".join("%d,%d,%d\n" % row for row in zip(*(col.tolist() for col in columns))).encode()
 

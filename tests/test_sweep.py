@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,70 @@ def test_p_is_stored_as_a_plain_float(p, value):
         assert emit(m_sweep(spec)) == emit(m_sweep(MSweep((value,), (1, 2), REF_ENERGY)))
         curve = [TradeoffCurve("x", [evaluate(FixedFailureLink(p), 2, REF_ENERGY)])]
         assert emit(curve) == emit([TradeoffCurve("x", [evaluate(FixedFailureLink(value), 2, REF_ENERGY)])])
+
+
+# Kinds of number a library caller may pass for a float field, each equal to 1.
+def one_as(kind):
+    if kind.startswith("numpy-"):
+        return getattr(pytest.importorskip("numpy"), kind[6:])(1)
+    return {"bool": True, "int": 1, "fraction": Fraction(1), "decimal": Decimal(1)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["bool", "int", "fraction", "decimal", "numpy-float16", "numpy-float32",
+                                  "numpy-float64", "numpy-longdouble", "numpy-int8", "numpy-uint64"])
+def test_float_fields_are_stored_as_plain_floats(kind):
+    # An np.float32 energy kept every avg_energy of its sweep an np.float32, so
+    # emit_json raised TypeError; a Decimal energy raised TypeError inside the sweep.
+    one = one_as(kind)
+    energy = EnergyParams(one, one)
+    assert energy == (1.0, 1.0) and {type(x) for x in energy} == {float}
+    power = ref_power_spec()._replace(sense_energy=one, rate=one + one, max_power=one)
+    assert all(type(x) is float for name, x in power._asdict().items() if name != "max_tx_list")
+    es = EsSweep((one,), MSweep((0.4,), (1, 2), REF_ENERGY), normalizer=one)
+    assert (type(es.es_list[0]), type(es.normalizer)) == (float, float)
+    assert all(type(x) is float for x in (*RayleighLink(one, one, one), *PowerModel(one, one, one, one)))
+    plain = (EnergyParams(1.0, 1.0), ref_power_spec()._replace(sense_energy=1.0, rate=2.0, max_power=1.0),
+             EsSweep((1.0,), es.base, normalizer=1.0))
+    for emit in (emit_csv, emit_json):
+        assert emit(m_sweep(MSweep((0.4,), (1, 2), energy))) == emit(m_sweep(MSweep((0.4,), (1, 2), plain[0])))
+        assert emit(power_sweep(power)) == emit(power_sweep(plain[1]))
+        assert emit(es_sweep(es)) == emit(es_sweep(plain[2]))
+
+
+NOT_NUMBERS = {
+    "EnergyParams-sense": lambda: EnergyParams("1", 1.0),
+    "EnergyParams-tx-bytes": lambda: EnergyParams(1.0, b"1"),
+    "FixedFailureLink": lambda: FixedFailureLink("0.5"),
+    "RayleighLink": lambda: RayleighLink("2", 1e-3, 0.1),
+    "PowerModel-eta": lambda: PowerModel(2.1, "19.2308", 0.1, 0.1),
+    "PowerModel-pmax": lambda: PowerModel(2.1, 19.2308, 0.1, "0.1"),
+    "Policy": lambda: Policy("2"),
+    "MSweep-p": lambda: MSweep(("0.4",), (2,), REF_ENERGY),
+    "MSweep-M": lambda: MSweep((0.4,), ("2",), REF_ENERGY),
+    "PowerSweep-rate": lambda: ref_power_spec()._replace(rate="2"),
+    "PowerSweep-dbm_min": lambda: ref_power_spec()._replace(dbm_min="2"),
+    "PowerSweep-snr": lambda: ref_power_spec()._replace(snr_ref_db="20"),
+    "PowerSweep-ref-None": lambda: ref_power_spec()._replace(ref_power_dbm=None),
+    "PowerSweep-pc": lambda: ref_power_spec()._replace(circuit_power="2.1"),
+    "EsSweep-es": lambda: EsSweep(("1",), MSweep((0.4,), (2,), REF_ENERGY)),
+    "EsSweep-normalizer": lambda: EsSweep((1.0,), MSweep((0.4,), (2,), REF_ENERGY), normalizer="2"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_NUMBERS)
+def test_a_field_that_is_not_a_number_raises_value_error(name):
+    # A str was stored as given (PowerSweep's rate) or compared, which raised TypeError.
+    with pytest.raises(ValueError, match="must be"):
+        NOT_NUMBERS[name]()
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "-int", "fraction"])
+def test_a_number_past_the_float_range_raises_value_error(huge):
+    # float() raises OverflowError on these; they are stored as +-inf and fail the range checks.
+    for build in (lambda: EnergyParams(huge, 1.0), lambda: FixedFailureLink(huge),
+                  lambda: ref_power_spec()._replace(dbm_max=huge), lambda: RayleighLink(2.0, huge, 0.1)):
+        with pytest.raises(ValueError, match="finite|failure probability|limit"):
+            build()
 
 
 def test_m_sweep_points_reproducible_standalone():

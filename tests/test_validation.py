@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aoilink.analytic import EnergyParams
+from aoilink.output import emit_report_csv, emit_report_json
 from aoilink.validation import build_report, within_tolerance
 
 
@@ -36,3 +37,15 @@ def test_report_takes_a_numpy_seed(seed):
 def test_report_rejects_a_float_seed(p_values):
     with pytest.raises(ValueError, match="seed must be an integer"):
         build_report(p_values, *GRID[1:], 7.0)
+
+
+def test_report_stores_the_grid_values_as_checked():
+    # A numpy grid value reached the report as given, so emit_report_json raised
+    # TypeError: Object of type float32 is not JSON serializable.
+    report = build_report((np.float32(0.4),), (np.int64(2),), *GRID[2:], np.uint64(7))
+    (point,) = report.points
+    assert (type(point.p), type(point.max_tx)) == (float, int)
+    plain = build_report((float(np.float32(0.4)),), (2,), *GRID[2:], 7)
+    assert report == plain
+    assert emit_report_json(report) == emit_report_json(plain)
+    assert emit_report_csv(report) == emit_report_csv(plain)
