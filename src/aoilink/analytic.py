@@ -20,6 +20,7 @@ Everything here is pure and stateless; safe to call from concurrent threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from collections import namedtuple
@@ -156,7 +157,7 @@ def transmit_energy(pm: PowerModel) -> float:
 
 def dbm_to_watts(dbm: float) -> float:
     """Convert decibel-milliwatts to watts: 10**((dbm - 30) / 10)."""
-    if not math.isfinite(dbm):
+    if not math.isfinite(dbm := _real("dBm value", dbm)):
         raise ValueError(f"dBm value must be finite, got {dbm}")
     try:
         return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -166,8 +167,8 @@ def dbm_to_watts(dbm: float) -> float:
 
 def noise_from_reference_snr(p_ref: float, snr_ref_db: float) -> float:
     """Noise power implied by a reference transmit power at a reference SNR."""
-    _check_positive("reference power", p_ref)
-    if not math.isfinite(snr_ref_db):
+    p_ref = _check_positive("reference power", p_ref)
+    if not math.isfinite(snr_ref_db := _real("reference SNR", snr_ref_db)):
         raise ValueError(f"reference SNR must be finite, got {snr_ref_db}")
     try:
         return p_ref / 10.0 ** (snr_ref_db / 10.0)
@@ -182,7 +183,10 @@ def _integer(name: str, value: int) -> int:
 
 
 def _real(name: str, value: float) -> float:
-    if not hasattr(type(value), "__float__"):  # a str has none
+    # A str has no __float__; a numpy complex has one, which drops the imaginary part.
+    # The type test spares a float or int the slower ABC checks.
+    non_real = type(value) not in (float, int) and not isinstance(value, numbers.Real)
+    if non_real and isinstance(value, numbers.Complex) or not hasattr(type(value), "__float__"):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
@@ -259,7 +263,8 @@ def delivered_tx_count_pmf(m: int, p: float, max_tx: int) -> float:
 
     Support is {1, ..., max_tx}; out-of-support m returns 0.
     """
-    _, comp = pow_complement(p, max_tx)
+    p, max_tx = _check_p(p), _check_max_tx(max_tx)
+    _, comp = _pow_complement(p, max_tx)
     if m < 1 or m > max_tx:
         return 0.0
     return (1.0 - p) / comp * p ** (m - 1)
@@ -317,7 +322,8 @@ def sense_count_pmf(l: int, p: float, max_tx: int) -> float:
     Each abandoned packet adds one sensing event, so l counts the packets
     tried within the cycle. Out-of-support l (< 1) returns 0.
     """
-    _, comp = pow_complement(p, max_tx)
+    p, max_tx = _check_p(p), _check_max_tx(max_tx)
+    _, comp = _pow_complement(p, max_tx)
     if l < 1:
         return 0.0
     return p ** ((l - 1) * max_tx) * comp

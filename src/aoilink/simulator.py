@@ -11,7 +11,8 @@ Two independent estimators of the average age and average energy:
 
 Both reduce to one renewal-reward ratio estimate with batch-means standard
 errors (:func:`_estimate`). Each draws and reduces in chunks of ``_CHUNK``
-(65,536) slots or cycles, so memory is flat in the horizon; each chunk is cut
+(65,536) slots or ``_CYCLE_CHUNK`` (32,768) cycles (a cycle holds about twice a
+slot's bytes in flight), so memory is flat in the horizon; each chunk is cut
 at the warmup and batch edges (:func:`_batch_cuts`), and each piece is summed
 into per-batch rows of exact integers, so no result depends on the chunking.
 Randomness comes from numpy's default generator (PCG64) seeded with
@@ -53,7 +54,8 @@ __all__ = [
     "write_age_trace",
 ]
 
-_CHUNK = 1 << 16  # slots or cycles per kernel call; bounds both estimators' memory
+_CHUNK = 1 << 16  # slots per kernel call; bounds the slot estimator's and the trace's memory
+_CYCLE_CHUNK = 1 << 15  # cycles per chunk: a cycle holds about twice a slot's bytes in flight
 
 
 def _check_seed(seed: int) -> int:
@@ -77,8 +79,9 @@ class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horiz
     defaults to 1% of the horizon with a floor of 1000 (capped to a tenth of
     short horizons). Standard errors use batch means over ``batches`` equal
     contiguous windows of ``(horizon - warmup) // batches`` samples; any
-    remainder still enters the point estimates. Both estimators stream in
-    chunks of 65,536 slots or cycles, so memory is flat in the horizon. The
+    remainder still enters the point estimates. The estimators stream in
+    chunks of 65,536 slots or 32,768 cycles (a cycle holds about twice a
+    slot's bytes in flight), so memory is flat in the horizon. The
     seed and the three counts must be integers, and are stored as plain ints.
     """
 
@@ -269,6 +272,7 @@ def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
     kept = sum(slots[1:])
+    k = math.frexp(es)[1]  # Es * 2**-k is in [0.5, 1): times a batch's sensing count it cannot overflow
     # An energy past the float range gives inf or nan, which the emitters reject.
     with np.errstate(over="ignore", invalid="ignore"):
         aoi_means = np.array([a / (2 * n) for a, n in zip(areas2[1:-1], slots[1:-1])])
@@ -277,7 +281,7 @@ def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:
             avg_aoi_est=sum(areas2[1:]) / (2 * kept),
             avg_energy_est=et + es * (sum(senses[1:]) / kept),
             stderr_aoi=_batch_stderr(aoi_means),
-            stderr_energy=_batch_stderr(es * bsenses / bslots + et),
+            stderr_energy=_batch_stderr(np.ldexp(math.ldexp(es, -k) * bsenses / bslots, k) + et),
             slots=sum(slots),
             packets_generated=sum(senses),
             successes=sum(deliveries),
@@ -336,13 +340,14 @@ def _cycle_chunks(link: LinkSpec, policy: Policy, seed: int, n: int):
     """The (length, delivered tx count, sensing count) arrays of n cycles, by chunk."""
     rng = np.random.default_rng(seed)
     success = 1.0 - failure_prob(link)
-    for start in range(0, n, _CHUNK):
-        lengths = _geometric(rng, success, min(_CHUNK, n - start))
+    for start in range(0, n, _CYCLE_CHUNK):
+        lengths = _geometric(rng, success, min(_CYCLE_CHUNK, n - start))
         # No cycle of the chunk is longer than its longest, so a larger limit never binds.
         max_tx = min(policy.max_tx, int(lengths.max()))
         sensed = lengths - 1
         sensed //= max_tx  # packets that used all max_tx transmissions
-        delivered = lengths - sensed * max_tx
+        delivered = sensed * -max_tx  # lengths - sensed * max_tx, in place: one chunk array fewer in flight
+        delivered += lengths
         sensed += 1
         yield lengths, delivered, sensed
 
@@ -382,9 +387,9 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
             twice_areas = np.concatenate(([prev], delivered[:-1]))  # each cycle's prev_delivered
             top = max(int(lengths.max()), prev)  # bounds every length and delivered count
             prev = int(delivered[-1])
-            if 3 * top * top * lengths.size >= 2**63:  # int64 sums could wrap (p near 1)
+            if top * (2 * min(cfg.policy.max_tx, top) + top) * lengths.size >= 2**63:  # int64 sums could wrap (p near 1)
                 lengths, twice_areas, sensed = (x.astype(object) for x in (lengths, twice_areas, sensed))
-            twice_areas *= 2  # y * (2 * prev + y) in place, each at most 3 * top**2
+            twice_areas *= 2  # y * (2 * prev + y) in place, each at most top * (2 * min(max_tx, top) + top)
             twice_areas += lengths
             twice_areas *= lengths
             sums = [np.add.reduceat(x, cuts[:-1]).tolist() for x in (lengths, twice_areas, sensed)]

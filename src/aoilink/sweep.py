@@ -167,8 +167,8 @@ def dbm_grid(dbm_min: float, dbm_max: float, dbm_step: float) -> list[float]:
     before flooring so that exact multiples survive float rounding. Bounds
     and step must be finite, and the grid at most ``MAX_GRID_POINTS`` long.
     """
-    count = _grid_count(dbm_min, dbm_max, dbm_step)
-    return [dbm_min + i * dbm_step for i in range(count)]
+    dbm_min, dbm_max, dbm_step = map(_real, ("dbm_min", "dbm_max", "dbm_step"), (dbm_min, dbm_max, dbm_step))
+    return [dbm_min + i * dbm_step for i in range(_grid_count(dbm_min, dbm_max, dbm_step))]
 
 
 def _m_grid(spec: MSweep):

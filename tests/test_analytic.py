@@ -1,5 +1,7 @@
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -77,6 +79,13 @@ def test_dbm_to_watts_past_the_float_range_raises(dbm):
 def test_noise_from_reference_snr_past_the_float_range_raises(snr_db):
     with pytest.raises(ValueError, match="past the float range"):
         noise_from_reference_snr(0.1, snr_db)
+
+
+@pytest.mark.parametrize("pmf", [delivered_tx_count_pmf, sense_count_pmf])
+def test_pmfs_compute_with_the_checked_p(pmf):
+    # The check passed a Decimal p, and the formula then mixed it with floats, which raised TypeError.
+    for p in (Fraction(1, 2), Decimal("0.5")):
+        assert [pmf(m, p, 3) for m in range(5)] == [pmf(m, 0.5, 3) for m in range(5)]
 
 
 def test_noise_from_reference_snr_rejects_an_infinite_snr():

@@ -463,7 +463,7 @@ def test_overflowing_outage_exponent_clamps_below_one(capsys):
         ["sweep", "m", "--p", "0.5", "--M", "1", "--es", "1e308", "--et", "1e308"],
         ["sweep", "m", "--p", "0.5", "--M", "1", "--es", "1e308", "--et", "1e308", "--format", "json"],
         ["sweep", "m", "--p", "0.5", "--M", "1", "--es", "1", "--et", "1", "--normalizer", "1e-308"],
-        ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--horizon", "2000",
+        ["simulate", "--p", "0.5", "--M", "2", "--es", "1.5e308", "--et", "1e308", "--horizon", "2000",
          "--format", "json"],
     ],
     ids=["pt-dbm", "snr-high", "snr-low", "es-et-csv", "es-et-json", "normalizer", "simulate-json"],
@@ -479,7 +479,7 @@ def test_out_of_range_values_exit_2(capsys, argv):
 def test_unemittable_result_leaves_no_trace_file(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out, _ = run_cli(
-        capsys, ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0",
+        capsys, ["simulate", "--p", "0.5", "--M", "2", "--es", "1.5e308", "--et", "1e308",
                  "--horizon", "2000", "--trace", str(trace)],
     )
     assert (code, out) == (2, "")
@@ -489,10 +489,10 @@ def test_unemittable_result_leaves_no_trace_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--horizon", "2000"],
-        ["simulate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--horizon", "2000",
+        ["simulate", "--p", "0.5", "--M", "2", "--es", "1.5e308", "--et", "1e308", "--horizon", "2000"],
+        ["simulate", "--p", "0.5", "--M", "2", "--es", "1.5e308", "--et", "1e308", "--horizon", "2000",
          "--estimator", "cycle"],
-        ["validate", "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0", "--slots", "2000"],
+        ["validate", "--p", "0.5", "--M", "2", "--es", "1.5e308", "--et", "1e308", "--slots", "2000"],
     ],
     ids=["slot", "cycle", "validate"],
 )
@@ -554,6 +554,19 @@ def test_energy_stderr_scales_with_es(capsys, estimator, es):
         return json.loads(out)[0]["stderr_energy"]
 
     assert stderr_energy(es) / es == pytest.approx(stderr_energy(1.0), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("estimator", ["slot", "cycle"])
+def test_energy_batch_means_near_the_largest_float_stay_finite(capsys, estimator):
+    # Es times a batch's sensing count passes the float range, but Es times its
+    # sensing events per slot, each batch mean, does not.
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--estimator", estimator, "--p", "0.5", "--M", "2", "--es", "1e308", "--et", "0",
+         "--horizon", "2000", "--format", "json"],
+    )
+    assert code == 0, err
+    assert 0 < json.loads(out)[0]["stderr_energy"] < 1e308
 
 
 # 100 one-slot batches: a seed where one batch senses has a deviation of 9.9e307, past 2**1023.
@@ -976,14 +989,15 @@ def test_fuzzed_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
 # The library's number vocabulary. Mostly a value of a field's ordinary range,
 # passed as a float, a Fraction, a Decimal, or a numpy float or (if integral) int
 # of each width; one draw in ten is a str or a special: bools, signed zeros,
-# subnormals, ints past 2**63 and past the float range, nan and infinities.
+# subnormals, ints past 2**63 and past the float range, nan, infinities and
+# numpy complex numbers.
 # Limits are ints passed as themselves or as a numpy int of each width; one draw
 # in ten is a bool, a float, a str or a special.
 FLOAT_KINDS = [float, Fraction, Decimal, np.float16, np.float32, np.float64, np.longdouble]
 INT_KINDS = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 SPECIALS = [True, False, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2**63 + 1, 2**64, 10**400, -(10**400),
             Fraction(10**400, 3), Decimal("1e400"), Decimal("-0"), Decimal("NaN"), Decimal("sNaN"),
-            math.nan, math.inf, -math.inf, "inf", ""]
+            math.nan, math.inf, -math.inf, "inf", "", np.complex128(1 + 2j), np.complex64(0.5)]
 
 
 def mostly(usual, rare):

@@ -35,6 +35,7 @@ from aoilink.simulator import (
 )
 
 CHUNK = 1 << 16
+CYCLE_CHUNK = 1 << 15
 HUGE_M = 10**20
 
 # p, max_tx, seed, horizon, warmup, batches,
@@ -119,16 +120,17 @@ CYCLE_ROUNDED = [
      (262347311647242, 262145, 262145)),
 ]
 
-# The same columns, plus which draw chunks are reduced in Python ints (object
-# dtype) because their doubled areas could pass 2**63. Recorded before the
-# cycle path computed its arrays in place.
+# The same columns, plus which draw chunks of CYCLE_CHUNK cycles are reduced in
+# Python ints (object dtype) because their doubled areas could pass 2**63. The
+# estimates were recorded before the cycle path computed its arrays in place,
+# when the first config reduced one of its 2**16-cycle chunks in Python ints.
 CYCLE_OBJECT = [
     (0.999998, 3, 38, 3 * CHUNK + 2, CHUNK + 5, 10,
      ("0x1.e6d4851771371p+18", "0x1.d555714bafd20p-1", "0x1.de3e4261e52cfp+10", "0x1.a4deedfd9b4f7p-29"),
-     (98172893736, 32724363438, 196610), [False, False, True, False]),
+     (98172893736, 32724363438, 196610), [False] * 7),
     (1 - 1e-9, HUGE_M, 44, CHUNK + 3, 1, 10,
      ("0x1.dcdd1aaa121cdp+30", "0x1.0000000abcdb4p-1", "0x1.119701e2e62fbp+23", "0x1.2e5b9965351f1p-38"),
-     (65536528595058, 65539, 65539), [True, True]),
+     (65536528595058, 65539, 65539), [True, True, True]),
 ]
 
 # p, max_tx, seed, horizon, trace slots, sha256 of the CSV
@@ -146,7 +148,7 @@ def config(p, max_tx, seed, horizon, warmup=None, batches=100, energy=EnergyPara
 
 
 def test_chunk_size_matches_the_pinned_boundaries():
-    assert simulator._CHUNK == CHUNK
+    assert (simulator._CHUNK, simulator._CYCLE_CHUNK) == (CHUNK, CYCLE_CHUNK)
 
 
 def test_chunked_draws_equal_one_draw():
@@ -240,7 +242,7 @@ def test_cycle_sim_object_path_pinned(p, max_tx, seed, horizon, warmup, batches,
     prev, paths = 0, []
     for lengths, delivered, _ in simulator._cycle_chunks(cfg.link, cfg.policy, seed, horizon):
         top = max(int(lengths.max()), prev)  # run_cycle_sim's guard
-        paths.append(3 * top * top * lengths.size >= 2**63)
+        paths.append(top * (2 * min(max_tx, top) + top) * lengths.size >= 2**63)
         prev = int(delivered[-1])
     assert paths == object_chunks
     res = run_cycle_sim(cfg)
@@ -324,6 +326,7 @@ def test_results_do_not_depend_on_the_chunk_size(cfg):
     for chunk in (1 << 10, 1 << 16, 1 << 18):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_CHUNK", chunk)
+            mp.setattr(simulator, "_CYCLE_CHUNK", chunk)
             results.append((run_slot_sim(cfg), run_cycle_sim(cfg)))
     assert results[0] == results[1] == results[2]
 
@@ -341,7 +344,7 @@ def test_sample_cycles_is_the_concatenation_of_fresh_chunks(p, max_tx, seed, n):
     # concatenates, would then repeat the last one.
     link, policy = FixedFailureLink(p), Policy(max_tx)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_CHUNK", 1 << 10)
+        mp.setattr(simulator, "_CYCLE_CHUNK", 1 << 10)
         chunks = [tuple(x.copy() for x in chunk) for chunk in simulator._cycle_chunks(link, policy, seed, n)]
         sampled = sample_cycles(link, policy, seed, n)
     lengths = np.random.default_rng(seed).geometric(1 - p, n).tolist()  # one draw
@@ -381,6 +384,18 @@ def test_memory_flat_in_horizon(runner):
             tracemalloc.stop()
 
     assert peak(40 * CHUNK) <= peak(4 * CHUNK) + (1 << 20)
+
+
+def test_cycle_sim_peak_memory_is_about_four_chunk_arrays():
+    # A cycle chunk holds four int64 arrays of CYCLE_CHUNK at once, 1 MiB; with
+    # 2**16-cycle chunks and five arrays the peak was 2.5 MiB.
+    tracemalloc.start()
+    try:
+        run_cycle_sim(config(0.4, 3, 13, 300_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_pinned_run_covers_a_chunk_without_delivery():
@@ -530,7 +545,7 @@ def test_cycle_sim_on_the_slot_sims_cycles_gives_its_estimates(p, max_tx, seed, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_CHUNK", warmup_slots)
         slot_res = run_slot_sim(cfg._replace(horizon_slots=int(ends[-1]) + 1, warmup_slots=warmup_slots))
-        mp.setattr(simulator, "_CHUNK", warmup)
+        mp.setattr(simulator, "_CYCLE_CHUNK", warmup)
         mp.setattr(simulator, "_geometric", lambda rng, s, n: next(drawn)[:n].copy())
         cycle_res = run_cycle_sim(cfg._replace(horizon_slots=lengths.size, warmup_slots=warmup))
     assert (cycle_res.avg_aoi_est, cycle_res.avg_energy_est) == (slot_res.avg_aoi_est, slot_res.avg_energy_est)

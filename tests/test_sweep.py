@@ -213,14 +213,27 @@ NOT_NUMBERS = {
     "PowerSweep-pc": lambda: ref_power_spec()._replace(circuit_power="2.1"),
     "EsSweep-es": lambda: EsSweep(("1",), MSweep((0.4,), (2,), REF_ENERGY)),
     "EsSweep-normalizer": lambda: EsSweep((1.0,), MSweep((0.4,), (2,), REF_ENERGY), normalizer="2"),
+    "dbm_to_watts": lambda: dbm_to_watts("20"),
+    "dbm_grid": lambda: dbm_grid("0", 1.0, 1.0),
+    "noise_from_reference_snr": lambda: noise_from_reference_snr(1.0, "20"),
 }
 
 
 @pytest.mark.parametrize("name", NOT_NUMBERS)
 def test_a_field_that_is_not_a_number_raises_value_error(name):
-    # A str was stored as given (PowerSweep's rate) or compared, which raised TypeError.
+    # A str was stored as given (PowerSweep's rate) or compared, which raised TypeError;
+    # the public helpers raised TypeError from math.isfinite.
     with pytest.raises(ValueError, match="must be"):
         NOT_NUMBERS[name]()
+
+
+@pytest.mark.parametrize("kind", ["complex64", "complex128", "clongdouble"])
+def test_a_numpy_complex_raises_value_error(kind):
+    # Its __float__ dropped the imaginary part, with a ComplexWarning, and the real part was stored.
+    value = getattr(pytest.importorskip("numpy"), kind)(1 + 2j)
+    for build in (lambda: EnergyParams(value, 1.0), lambda: FixedFailureLink(value), lambda: dbm_to_watts(value)):
+        with pytest.raises(ValueError, match="must be a number"):
+            build()
 
 
 @pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "-int", "fraction"])
