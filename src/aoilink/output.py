@@ -1,13 +1,14 @@
 """CSV and JSON emitters for curves, simulation results, and validation
 reports, plus the parsers that make the emitted artifacts round-trip.
 
-CSV floats are printed with 9 significant digits and JSON floats exactly, so an
-emitted file parses and re-emits to the same bytes. Missing fields are empty in
-CSV and null in JSON; a non-finite value is rejected, never printed. Every table
-(curves, results, reports, and row dicts) is rendered from its columns by one
-renderer, which prints each distinct cell of a column once per call; its JSON is
-that of ``json.dumps(rows, indent=2)`` over the row dicts, and its CSV quotes text
-cells by Python 3.13's ``csv.writer`` rule on every Python (a NUL is rejected).
+CSV floats are printed with 9 significant digits (``p`` in full where those name
+another float) and JSON floats exactly, so an emitted file parses and re-emits to
+the same bytes. Missing fields are empty in CSV and null in JSON; a non-finite
+value is rejected, never printed. Every table (curves, results, reports, and row
+dicts) is rendered from its columns by one renderer, which prints each distinct
+cell of a column once per call; its JSON is that of ``json.dumps(rows, indent=2)``
+over the row dicts, and its CSV quotes text cells by Python 3.13's ``csv.writer``
+rule on every Python (a NUL is rejected).
 """
 
 from __future__ import annotations
@@ -88,10 +89,13 @@ _STR = (_quote, str)
 _INT = (str, int)
 _BOOL = (lambda value: "true" if value else "false", lambda text: text == "true")
 _FLOAT = (_FLOAT_FORMAT.format, float)
+# A p cell has 9 significant digits where they parse back to it, else all of them, so a row names its point.
+_P = (lambda value: text if float(text := _FLOAT_FORMAT.format(value)) == value else repr(float(value)), float)
 
-# The type of each emitted column that does not hold floats; every other
+# The type of each emitted column that does not print by _FLOAT; every other
 # column of the three field tuples holds floats.
 _COLUMN_TYPES = {
+    "p": _P,
     "label": _STR,
     "estimator": _STR,
     "M": _INT,
@@ -146,7 +150,7 @@ def _render(fields: Sequence[str], columns: Sequence[Sequence[object]], fmt: str
 def _checked(fields: Sequence[str], columns: list[Sequence[object]]) -> list[Sequence[object]]:
     """``columns``, once every cell of their float columns is checked to be finite; the
     first cell that is not, in row order, raises."""
-    floats = [(name, column) for name, column in zip(fields, columns) if name not in _COLUMN_TYPES]
+    floats = [(name, column) for name, column in zip(fields, columns) if _COLUMN_TYPES.get(name, _FLOAT)[1] is float]
     if not all(math.isfinite(sum(filter(None, column))) for _, column in floats):  # a sum may overflow
         for row in zip(*[column for _, column in floats]):
             for (name, _), value in zip(floats, row):

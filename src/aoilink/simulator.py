@@ -176,8 +176,7 @@ def _batch_cuts(first: int, c: int, warmup: int, width: int, batches: int) -> tu
 
 
 def _prefix(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``x[:i].sum()`` for each ``i`` of the sorted indices ``j``; ``j[0] == 0``
-    and every index is below ``x.size``."""
+    """``x[j[0]:i].sum()`` for each ``i`` of the sorted indices ``j``, each below ``x.size``."""
     parts = np.add.reduceat(x, j)[:-1]
     parts[j[1:] == j[:-1]] = 0
     return np.concatenate(([0], np.cumsum(parts)))
@@ -192,64 +191,51 @@ def _run_sums(fails: np.ndarray, max_tx: int, k: int, last: int, cuts: list[int]
     state ``(k, last)``; then the state leaving the chunk. All are exact
     integers, computed with work per failure run rather than per slot.
 
-    A failure run fills slots ``[start, end)`` and its packet is delivered at
-    ``end``. If ``k > 0`` the chunk opens inside run 0 (``start = 0``, and
-    ``end = 0`` when slot 0 succeeds); an open run with ``end = c``, possibly
-    empty, always comes last. A run entered ``k0`` slots after the last
-    delivery (``k`` for run 0, else 0) has its ``r = end - start`` failures
-    and its delivery at ``k0 .. k0 + r`` slots since delivery. They add
-    ``(r + 1) * k0 + r * (r + 1) / 2`` to the ages, sense at each multiple
-    of ``m`` in that range, and deliver a packet of ``(k0 + r) % m + 1``
-    transmissions. Any other success comes right after a delivery: it senses
-    once and adds 0. The rest of each age is ``last``: the entry ``last`` up
-    to the chunk's first delivery, 1 after it, plus ``tx - 1`` on each slot
-    that follows a delivery of ``tx`` up to the next delivery. A cut inside a
-    run splits that run's sums at the cut.
+    A run fills slots ``[start, end)`` right after a delivery, and its packet
+    is delivered at ``end``. Run 0 is the entry state: a delivery of ``last``
+    transmissions at slot ``-k - 1``. Run 1 starts at ``-k``, so it carries
+    the failures before the chunk (it is empty if ``k`` is 0 and slot 0
+    succeeds); every later run is a maximal failure run, and the open run,
+    with ``end = c`` and possibly empty, comes last. A run's ``r = end -
+    start`` failures and its delivery lie at ``0 .. r`` slots since a
+    delivery, so it senses ``r // m + 1`` times, delivers ``r % m + 1``
+    transmissions and adds the ramp ``r (r + 1) / 2`` to the ages; its ``n``
+    slots before a cut add ``n (n - 1) / 2``. Any other success comes right
+    after a delivery: it senses once and adds 0. The rest of each age is 1,
+    plus ``tx - 1`` on each slot that follows a delivery of ``tx`` up to the
+    next delivery. The sums run from slot ``-k``, which cancels in each
+    piece's difference. Each ramp is a product of exact halves, so every sum
+    is exact modulo 2**64, and so is each piece's, which is below 2**63.
     """
     c = fails.size
     m = min(max_tx, k + c)  # every k_i is below k + c, so a larger limit never binds
     flips = np.flatnonzero(fails[1:] != fails[:-1]) + 1
     lead, tail = bool(fails[0]), bool(fails[-1])
-    carried = lead or k > 0
-    start = np.concatenate((np.zeros(int(carried), int), flips[lead::2], np.full(int(not tail), c)))
-    end = np.concatenate((np.zeros(int(carried and not lead), int), flips[1 - lead :: 2], [c]))
+    start = np.concatenate(([-k - 1, -k], flips[lead::2], np.full(int(not tail), c)))
+    end = np.concatenate(([-k - 1], np.zeros(int(not lead), int), flips[1 - lead :: 2], [c]))
     r = end - start
     senses = r // m  # sensing events of each run and its delivery, less one
     tx_extra = r - senses * m  # tx - 1 of each run's delivery
-    if carried:
-        r0 = int(r[0])
-        tx_extra[0] = (k + r0) % m
-        senses[0] = (k + r0) // m - (k - 1) // m - 1
+    tx_extra[0] = last - 1
     # Slots from each run's delivery up to and including the next delivery;
     # the part past a cut (or the chunk end) is taken off at the cut.
     after = np.ones_like(r)
     after[:-1] += (start[1:] == end[:-1] + 1) * r[1:]
-    # int64-exact: the chunk's c ages are each below 2 * horizon
-    ages = (r * (r + 1) >> 1) + tx_extra * after
-    if carried:
-        ages[0] += (r0 + 1) * k
+    ages = ((r + 1) >> 1) * (r | 1) + tx_extra * after
 
     t = np.asarray(cuts)
-    j = np.searchsorted(end, t)  # runs delivered before each cut; j < start.size
+    j = np.searchsorted(end, t)  # runs delivered before each cut; 0 < j < r.size
     n = np.maximum(t - start[j], 0)  # slots of run j before the cut
-    k0 = np.where(j == 0, k, 0)
-    before = j - 1  # the last run delivered before the cut (if j > 0)
-    overshoot = np.maximum(after[before] - (t - 1 - end[before]), 0) * (j > 0)
-    first_delivery = int(end[0]) if carried else 0
+    before = j - 1  # the last run delivered before the cut
+    overshoot = np.maximum(after[before] - (t - 1 - end[before]), 0)
     delivered = t - _prefix(r, j) - n
     sums = (
-        _prefix(ages, j) + n * k0 + (n * (n - 1) >> 1) - tx_extra[before] * overshoot
-        + last * np.minimum(first_delivery + 1, t) + np.maximum(t - 1 - first_delivery, 0),
-        _prefix(senses, j) + (k0 + n + m - 1) // m - (k0 + m - 1) // m + delivered,
+        _prefix(ages, j) + (n >> 1) * ((n - 1) | 1) + t - tx_extra[before] * overshoot,
+        _prefix(senses, j) + (n + m - 1) // m + delivered,
         delivered,
     )
-    s = int(start[-1])  # the open run's first slot
-    if s == 0:
-        last_out = last
-    else:
-        last_out = int(tx_extra[-2]) + 1 if r.size > 1 and int(end[-2]) == s - 1 else 1
-    k_out = int(r[-1]) + (k if r.size == 1 else 0)
-    return *(np.diff(x).tolist() for x in sums), k_out, last_out
+    last_out = int(tx_extra[-2]) + 1 if end[-2] + 1 == start[-1] else 1
+    return *(np.diff(x).tolist() for x in sums), int(r[-1]), last_out
 
 
 def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:

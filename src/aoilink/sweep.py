@@ -54,7 +54,7 @@ __all__ = [
 # may expand; checked before allocating.
 MAX_GRID_POINTS = 1_000_000
 
-# The one format of every float in a label or a CSV cell (JSON carries floats
+# The one format of every float in a label or a CSV cell but p's (JSON carries floats
 # exactly): 9 significant digits, so a printed float parses back to the same text.
 _FLOAT_FORMAT = "{:.9g}"
 

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import aoilink
 import aoilink.cli as cli
 import aoilink.validation as validation
-from aoilink.analytic import EnergyParams, FixedFailureLink, MetricPoint, Policy, RayleighLink, evaluate
+from aoilink.analytic import (EnergyParams, FixedFailureLink, MetricPoint, Policy, PowerModel, RayleighLink,
+                              dbm_to_watts, evaluate, transmit_energy)
 from aoilink.cli import main, parse_float_list, parse_int_list
 from aoilink.cli import CliError
 from aoilink.output import (
@@ -446,8 +447,58 @@ def test_overflowing_outage_exponent_clamps_below_one(capsys):
     )
     assert (code, err) == (0, "")
     (row,) = csv_rows(out)
-    assert float(row["p"]) == 1.0  # 1 - 2**-53 printed with 9 digits
+    assert row["p"] == "0.9999999999999999" and float(row["p"]) == 1 - 2**-53  # 9 digits would print 1
     assert all(math.isfinite(float(row[name])) for name in ("p", "avg_energy", "avg_aoi"))
+
+
+def fed_back(capsys, row, es, et):
+    """The avg_aoi and avg_energy cells of ``analytic`` at ``row``'s own p and M, with
+    the energies ``es`` and ``et`` (as text)."""
+    code, out, err = run_cli(capsys, ["analytic", "--p", row["p"], "--M", row["M"], "--es", es, "--et", et])
+    assert (code, err) == (0, ""), row
+    (again,) = csv_rows(out)
+    return again["avg_aoi"], again["avg_energy"]
+
+
+def check_rows_name_their_points(capsys, argv, energies):
+    """Every CSV row that ``argv`` emits is a valid input: its p is below 1, and
+    ``analytic`` at its own p and M, with the energies ``energies(row)``, prints
+    the row's age and energy."""
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    for row in csv_rows(out):
+        assert float(row["p"]) < 1, row
+        assert fed_back(capsys, row, *energies(row)) == (row["avg_aoi"], row["avg_energy"]), row
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 3000), st.integers(-30, 40), st.integers(1, 8))
+@example(2000, 10, 2)  # p = 1 - 2**-53
+def test_budget_rows_name_their_points(capsys, rate, dbm, max_tx):
+    argv = ["analytic", "--rate", str(rate), "--pt-dbm", str(dbm), "--sigma2", "1", "--M", str(max_tx)]
+    check_rows_name_their_points(capsys, [*argv, "--es", "1", "--et", "1"], lambda row: ("1", "1"))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=3), st.integers(1, 4))
+@example([1 - 2**-53, 0.1 + 2**-56], 3)
+def test_m_sweep_rows_name_their_points(capsys, p_list, max_tx):
+    argv = ["sweep", "m", "--p", ",".join(map(repr, p_list)), "--M", f"1..{max_tx}", "--es", "1", "--et", "2"]
+    check_rows_name_their_points(capsys, argv, lambda row: ("1", "2"))
+
+
+def test_power_sweep_rows_name_their_points(capsys):
+    # 324 rows; at 9 digits 24 of them printed p as 1, and 20 more fed back an age
+    # off by more than 1e-6 relative.
+    pmax = dbm_to_watts(30)
+    argv = ["sweep", "power", "--M", "1,2,4,8", "--dbm-min", "-10", "--dbm-max", "30", "--dbm-step", "0.5",
+            "--rate", "2", "--snr-ref-db", "10", "--p-ref-dbm", "10", "--pc", "0.1", "--eta", "2",
+            "--pmax-dbm", "30", "--es", "1"]
+
+    def energies(row):  # every dBm point of the grid prints exactly
+        return "1", repr(transmit_energy(PowerModel(0.1, 2, dbm_to_watts(float(row["pt_dbm"])), pmax)))
+
+    check_rows_name_their_points(capsys, argv, energies)
 
 
 @pytest.mark.parametrize(
@@ -897,9 +948,25 @@ def test_make_tradeoff_curves_script(tmp_path, capsys, monkeypatch):
     assert digests == {
         "m_sweep_constant_power.csv": "02b85ddac23274ef1232a9d00963873e389776565f9d1cb8e9265ff5c7da0b8a",
         "es_sweep_constant_power.csv": "b9500ec5db5b4716c2d84bd60afd44b6d2ad3a08913a381fcd9f769753d109b9",
+        "power_control_sweep.csv": "6acc3133524c4cb29e8109fd93aee9c707f1ab78e20b139310b0485b6d2b882c",
+        "es_sweep_power_control.csv": "926b863cf8ac91969a3ffdc559327e1854a9ebc7d68c703b53abd62fe68e20e3",
+    }
+    # p prints in full where 9 digits do not parse back to it; every other byte is as
+    # when p always had 9 digits, which gave these digests.
+    nine_digit_p = {path.name: hashlib.sha256(with_nine_digit_p(path.read_text()).encode()).hexdigest()
+                    for path in tmp_path.iterdir()}
+    assert nine_digit_p == {
+        "m_sweep_constant_power.csv": "02b85ddac23274ef1232a9d00963873e389776565f9d1cb8e9265ff5c7da0b8a",
+        "es_sweep_constant_power.csv": "b9500ec5db5b4716c2d84bd60afd44b6d2ad3a08913a381fcd9f769753d109b9",
         "power_control_sweep.csv": "baf228569cc8ee4fc6be0ca602e766703e989620cb1fa1d929faf71cdf9b0e84",
         "es_sweep_power_control.csv": "91297dd8f6505415136eb1d71a22fd1141d954ed57406c84056f15e25532cf6c",
     }
+
+
+def with_nine_digit_p(text):
+    """A curve CSV whose labels hold no comma, with every p cell printed with 9 digits."""
+    head, *lines = text.splitlines(keepends=True)
+    return head + "".join(f"{label},{float(p):.9g},{rest}" for label, p, rest in (line.split(",", 2) for line in lines))
 
 
 POINT_FLAGS = ("--p", "--M", "--es", "--et", "--pt-dbm", "--rate", "--sigma2",
@@ -1061,7 +1128,9 @@ def test_fuzzed_library_calls_raise_value_error_or_round_trip(data, call):
         assert type(row.pop("label")) is str and type(row.pop("M")) is int
         assert all(value is None or type(value) is float for value in row.values()), row
     assert parse_json(json_text) == rows and rows_to_json(parse_json(json_text)) == json_text
-    printed = [{name: float(f"{v:.9g}") if type(v) is float else v for name, v in row.items()} for row in rows]
+    # Floats print with 9 significant digits, except p, which parses back to itself.
+    printed = [{name: float(f"{v:.9g}") if type(v) is float and name != "p" else v for name, v in row.items()}
+               for row in rows]
     assert parse_csv(csv_text) == printed and rows_to_csv(parse_csv(csv_text)) == csv_text
 
 
@@ -1425,6 +1494,8 @@ def reference_cell(name, value):
         return reference_text(str(value))
     if name in INT_COLUMNS:
         return str(value)  # integers in full
+    if name == "p" and float(f"{value:.9g}") != value:
+        return repr(float(value))  # in full where 9 digits name another float
     return f"{value:.9g}"
 
 
@@ -1624,6 +1695,24 @@ def test_sweep_output_digest(capsys, argv, size, digest):
 )
 def test_validate_output_digest(capsys, fmt, size, digest):
     code, out, _ = run_cli(capsys, ["validate", "--grid", "default", "--seed", "7", "--format", fmt])
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# Recorded before the slot reducer entered each chunk through its last delivery. Near
+# p = 1 each chunk of 65,536 slots is entered up to about a million slots into a failure run.
+@pytest.mark.parametrize(
+    "fmt, size, digest",
+    [
+        ("csv", 189, "b7bb199c57dc96f48c8f714249b8c49c4cb4c74c305e8e956ca83eeb0c3eafe4"),
+        ("json", 318, "5247072990737b0a6c54d379d62b8d721a4541cd3fa4b035a03edec4b27dd7af"),
+    ],
+)
+def test_long_failure_run_output_digest(capsys, fmt, size, digest):
+    argv = ["simulate", "--estimator", "slot", "--p", "0.999999", "--M", "3", "--es", "1", "--et", "1",
+            "--horizon", "3000000", "--seed", "1", "--format", fmt]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

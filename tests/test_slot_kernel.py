@@ -37,6 +37,7 @@ from aoilink.simulator import (
 CHUNK = 1 << 16
 CYCLE_CHUNK = 1 << 15
 HUGE_M = 10**20
+WRAP_K = math.isqrt(2**63) + 1  # k (k - 1) < 2**63 < k (k + 1)
 
 # p, max_tx, seed, horizon, warmup, batches,
 # (avg_aoi, avg_energy, stderr_aoi, stderr_energy), (slots, packets, successes)
@@ -465,6 +466,12 @@ fail_strings = st.one_of(
 @example([False, False, True, True, True, False, True, True], 3, 0, 1, {3, 5, 6})
 @example([True] * 9, 2, 4, 2, {1, 4})  # no delivery; the entry run is carried through
 @example([False] * 5, HUGE_M, 7, 3, {1})  # the entry run is closed by slot 0
+# k = isqrt(2**63) + 1: k (k - 1) is below 2**63 and k (k + 1) above, so the ramps at the
+# cuts wrap in int64 by different multiples of 2**64; only halves taken before the product
+# keep every ramp exact modulo 2**64.
+@example([True] * 3 + [False] + [True] * 4, 3, WRAP_K, 2, {2, 5})  # a cut inside the carried run
+@example([True] * 9, HUGE_M, WRAP_K, 1, {4})  # no delivery
+@example([False] * 5, 2, WRAP_K, 2, {1})  # the entry run is closed by slot 0
 def test_run_sums_equal_the_per_slot_kernel(fails, max_tx, k, last, cut_set):
     # Each piece's age sum, sensing count and deliveries, and the state leaving
     # the chunk, are the sums of the per-slot kernel's outputs.
