@@ -64,11 +64,6 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _check_cycle_warmup(cfg: SimConfig) -> None:
-    if cfg.warmup_slots < 1:
-        raise ValueError("cycle estimator needs warmup >= 1 cycle")
-
-
 class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horizon_slots warmup_slots batches",
                                      defaults=(None, 100))):
     """Configuration shared by both estimators.
@@ -349,7 +344,8 @@ def sample_cycles(
     transmissions and the cycle sensed ``ceil(y / max_tx)`` packets. The
     draws are those of :func:`run_cycle_sim` with the same seed.
     """
-    if cycles < 1:
+    seed = _check_seed(seed)
+    if (cycles := _integer("cycles", cycles)) < 1:
         raise ValueError(f"cycle count must be >= 1, got {cycles}")
     return tuple(np.concatenate(part) for part in zip(*_cycle_chunks(link, policy, seed, cycles)))
 
@@ -358,12 +354,11 @@ def run_cycle_sim(cfg: SimConfig) -> SimResult:
     """Renewal estimate over success cycles.
 
     ``horizon_slots`` counts cycles here and ``warmup_slots`` leading cycles
-    to discard (at least 1, so the previous cycle's delivered-packet age is
-    defined). A cycle of ``y`` slots is ``y`` slots of the run, with twice
-    the trapezoid area ``(prev_delivered + y/2) * y``, its sensing count and
-    one delivery.
+    to discard. The cycle before the first is a delivery of 0 transmissions
+    at t = 0, the start of :func:`run_slot_sim`. A cycle of ``y`` slots is
+    ``y`` slots of the run, with twice the trapezoid area ``(prev_delivered
+    + y/2) * y``, its sensing count and one delivery.
     """
-    _check_cycle_warmup(cfg)
 
     def chunks(cut):
         first = prev = 0  # prev: delivered tx count of the cycle before the chunk

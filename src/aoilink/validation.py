@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
-from .simulator import SimConfig, SimResult, _check_cycle_warmup, _check_seed, run_cycle_sim, run_slot_sim
+from .simulator import SimConfig, SimResult, _check_seed, run_cycle_sim, run_slot_sim
 
 __all__ = [
     "ValidationPoint",
@@ -104,7 +104,6 @@ def build_report(
         link = FixedFailureLink(p)
         policy = Policy(max_tx)
         configs = [SimConfig(link, policy, energy, point_seed, n, batches=batches) for n in (slots, cycles)]
-        _check_cycle_warmup(configs[1])
         runs.append((link.p, policy.max_tx, *configs))  # the grid values as the checks stored them
     # The estimators are looked up at call time, so a wrapped binding is the one called.
     results = _in_parallel(

@@ -705,10 +705,8 @@ def test_validate_grid_past_the_limit_exits_2(capsys, monkeypatch, p_count, m_co
         ["--p", "0.1,0.4,0.7,1.5", "--M", "1,3,6"],
         ["--p", "0.4", "--M", "1,3,0"],
         ["--p", "0.4", "--M", "1,3", "--cycles", "1", "--batches", "2"],
-        # A valid cycle config whose default warmup is 5 // 10 = 0 cycles.
-        ["--p", "0.4", "--M", "1,3", "--cycles", "5", "--batches", "2"],
     ],
-    ids=["p", "M", "cycles", "cycle-warmup"],
+    ids=["p", "M", "cycles"],
 )
 def test_validate_rejects_a_bad_grid_before_simulating(capsys, monkeypatch, extra):
     calls = []
@@ -718,6 +716,24 @@ def test_validate_rejects_a_bad_grid_before_simulating(capsys, monkeypatch, extr
     assert code == 2
     assert out == "" and calls == []
     assert err.startswith("aoilink: error:") and err.count("\n") == 1
+
+
+def test_cycle_runs_with_warmup_0(capsys, monkeypatch):
+    # Both estimators start from a delivery of 0 transmissions at t = 0, so a
+    # cycle run whose default warmup is 5 // 10 or 8 // 10 = 0 cycles runs.
+    calls = []
+    for name in ("run_slot_sim", "run_cycle_sim"):
+        run = getattr(validation, name)
+        monkeypatch.setattr(validation, name, lambda cfg, run=run, name=name: calls.append(name) or run(cfg))
+    code, out, err = run_cli(capsys, ["validate", "--p", "0.4", "--M", "1,3", "--slots", "2000",
+                                      "--cycles", "5", "--batches", "2"])
+    assert code in (0, 1) and err == ""
+    assert [(row["p"], row["M"]) for row in csv_rows(out)] == [("0.4", "1"), ("0.4", "3")]
+    assert sorted(calls) == ["run_cycle_sim"] * 2 + ["run_slot_sim"] * 2
+    code, out, err = run_cli(capsys, ["simulate", "--estimator", "cycle", "--p", "0.4", "--M", "2",
+                                      "--es", "1", "--et", "1", "--horizon", "8", "--batches", "2"])
+    assert (code, err) == (0, "")
+    assert csv_rows(out)[0]["successes"] == "8"
 
 
 @pytest.mark.parametrize("flag", ["--output", "--trace"])
@@ -1215,6 +1231,22 @@ print(json.dumps(steps))
 """, "-S")
     assert len(seen) == 2 + len(CLOSED_FORM_CALLS)
     assert not any(seen.values()), seen
+
+
+def test_traced_targets_resolve_after_importing_the_cli():
+    # The benchmark's tracer wraps each (module, attribute) of its TARGETS on the
+    # imported package; a name deleted from aoilink would break its traced runs.
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    seen = run_fresh(f"""
+import json, sys
+sys.path.insert(0, {perfbench!r})
+from tracing import TARGETS
+import aoilink, aoilink.cli
+missing = [[module, attr] for module, attr, _ in TARGETS if not callable(getattr(getattr(aoilink, module), attr, None))]
+print(json.dumps({{"targets": len(TARGETS), "missing": missing}}))
+""")
+    assert seen["targets"] > 0
+    assert seen["missing"] == []
 
 
 def test_simulate_imports_numpy_and_calls_the_current_binding():

@@ -92,12 +92,6 @@ def test_config_default_warmup():
     assert small.warmup_slots == 80
 
 
-def test_cycle_sim_requires_warmup():
-    cfg = make_config(warmup=0)
-    with pytest.raises(ValueError):
-        run_cycle_sim(cfg)
-
-
 # ---------------------------------------------------------------------------
 # Determinism and exact cases
 # ---------------------------------------------------------------------------
@@ -301,6 +295,24 @@ def test_cycle_sim_single_tx_energy_near_largest_p():
 )
 def test_batch_stderr_at_the_ends_of_the_float_range(means, expected):
     assert simulator._batch_stderr(np.array(means)) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_sample_cycles_rejects_a_seed_past_64_bits():
+    # No SimConfig can name this stream, so run_cycle_sim never draws it.
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer, got 18446744073709551616"):
+        sample_cycles(FixedFailureLink(0.4), Policy(3), 2**64, 10)
+
+
+def test_sample_cycles_rejects_a_str_seed():
+    # numpy's SeedSequence used to raise TypeError on it.
+    with pytest.raises(ValueError, match="seed must be an integer, got '7'"):
+        sample_cycles(FixedFailureLink(0.4), Policy(3), "7", 10)
+
+
+@pytest.mark.parametrize("cycles", [2.5, "3"])
+def test_sample_cycles_rejects_a_count_that_is_not_an_integer(cycles):
+    with pytest.raises(ValueError, match=f"cycles must be an integer, got {cycles!r}"):
+        sample_cycles(FixedFailureLink(0.4), Policy(3), 7, cycles)
 
 
 def test_empirical_pmfs_match_analytic():

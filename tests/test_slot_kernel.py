@@ -255,8 +255,8 @@ def exact_mean_age(lengths, delivered, warmup):
     """The renewal age estimate of the cycles past the warmup, as a correctly
     rounded ratio of exact sums: each cycle of y slots after one that delivered
     a packet of ``prev`` transmissions has twice its area, y * (2 * prev + y)."""
-    y, prev = lengths.tolist(), delivered.tolist()
-    twice_area = sum(b * (2 * a + b) for a, b in zip(prev[warmup - 1 : -1], y[warmup:]))
+    y, prev = lengths.tolist(), [0, *delivered.tolist()]  # the start: a delivery of 0 transmissions
+    twice_area = sum(b * (2 * a + b) for a, b in zip(prev[warmup:], y[warmup:]))
     return float(Fraction(twice_area, 2 * sum(y[warmup:])))
 
 
@@ -277,9 +277,10 @@ def exact_mean_energy(cfg, senses, slots):
 
 # A config where es * S / L + et and et + es * (S / L) round apart.
 ENERGY_ORDER = (0.4, 3, 9, 5000, None, 10)
+NO_WARMUP = (0.7, 6, 9, 5000, 0, 10)
 
 
-@pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches", [*EXACT_AREAS, ENERGY_ORDER])
+@pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches", [*EXACT_AREAS, ENERGY_ORDER, NO_WARMUP])
 def test_cycle_sim_age_is_the_exact_area_ratio(p, max_tx, seed, horizon, warmup, batches):
     cfg = config(p, max_tx, seed, horizon, warmup, batches)
     lengths, delivered, sensed = sample_cycles(cfg.link, cfg.policy, seed, horizon)
@@ -555,6 +556,41 @@ def test_cycle_sim_on_the_slot_sims_cycles_gives_its_estimates(p, max_tx, seed, 
         mp.setattr(simulator, "_CYCLE_CHUNK", warmup)
         mp.setattr(simulator, "_geometric", lambda rng, s, n: next(drawn)[:n].copy())
         cycle_res = run_cycle_sim(cfg._replace(horizon_slots=lengths.size, warmup_slots=warmup))
+    assert (cycle_res.avg_aoi_est, cycle_res.avg_energy_est) == (slot_res.avg_aoi_est, slot_res.avg_energy_est)
+    assert (cycle_res.slots, cycle_res.packets_generated, cycle_res.successes) == (
+        slot_res.slots, slot_res.packets_generated, slot_res.successes)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.floats(min_value=0.0, max_value=0.9),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=3_000, max_value=200_000),
+    st.integers(min_value=2, max_value=50),
+    st.integers(min_value=256, max_value=4096),
+)
+@example(0.0, 1, 5, 3_000, 2, 256)  # every cycle is one slot
+@example(0.9, 1, 0, 20_000, 10, 4096)  # every slot senses
+def test_warmup_0_cycle_sim_on_the_slot_sims_cycles_gives_its_estimates(p, max_tx, seed, slots, batches, chunk):
+    # Both estimators start from a delivery of 0 transmissions at t = 0, so with no
+    # warmup run_cycle_sim, drawing the cycle lengths of run_slot_sim's own stream,
+    # gives bit-equal estimates and counters: the slot run ends on its last
+    # delivery. Both runs are cut into chunks of ``chunk`` samples, so the cycle
+    # carried between chunks is exercised. The standard errors differ, since the
+    # batch edges do.
+    cfg = config(p, max_tx, seed, slots, 0, batches)
+    fails = np.concatenate(list(simulator._draws(cfg.link, seed, slots)))
+    ends = np.flatnonzero(~fails)
+    lengths = np.diff(ends, prepend=-1)
+    assume(lengths.size >= batches)
+    drawn = iter(lengths.tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_CHUNK", chunk)
+        mp.setattr(simulator, "_CYCLE_CHUNK", chunk)
+        mp.setattr(simulator, "_geometric", lambda rng, s, n: np.fromiter(drawn, np.int64, n))
+        slot_res = run_slot_sim(cfg._replace(horizon_slots=int(ends[-1]) + 1))
+        cycle_res = run_cycle_sim(cfg._replace(horizon_slots=lengths.size))
     assert (cycle_res.avg_aoi_est, cycle_res.avg_energy_est) == (slot_res.avg_aoi_est, slot_res.avg_energy_est)
     assert (cycle_res.slots, cycle_res.packets_generated, cycle_res.successes) == (
         slot_res.slots, slot_res.packets_generated, slot_res.successes)
