@@ -16,8 +16,9 @@ missing for ``simulate``/``validate``, 2 bad configuration or usage.
 
 ``analytic`` and ``sweep`` run on the closed forms alone and never import
 numpy: the package's numpy-side names (``SimConfig``, ``run_slot_sim``,
-``build_report``, ...) are bound as module attributes on first use, by
-``simulate``/``validate`` or by an attribute lookup from outside.
+``build_report``, ...) are attributes of this module that resolve to the
+package's on each lookup, so numpy loads only in ``simulate``/``validate``;
+the handlers look them up on the module, so a binding set from outside wins.
 """
 
 from __future__ import annotations
@@ -67,20 +68,9 @@ from .sweep import (
 __all__ = ["main", "run", "build_parser"]
 
 
-def _bind(name: str):
-    """The module attribute ``name``, taken from the package on first use.
-
-    A binding already present (for example one replaced from outside) is
-    never overwritten, so callers always get the current attribute.
-    """
-    if name not in globals():
-        globals()[name] = getattr(sys.modules[__package__], name)
-    return globals()[name]
-
-
 def __getattr__(name: str):
     if name in sys.modules[__package__]._LAZY:
-        return _bind(name)
+        return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -337,7 +327,8 @@ def _handle_analytic(args) -> tuple[int, str]:
 def _handle_simulate(args) -> tuple[int, str]:
     link, pt_dbm = _resolve_link(args)
     energy = _resolve_energy(args, pt_dbm)
-    cfg = _bind("SimConfig")(
+    cli = sys.modules[__name__]
+    cfg = cli.SimConfig(
         link=link,
         policy=Policy(_require(args.M, "--M")),
         energy=energy,
@@ -348,12 +339,12 @@ def _handle_simulate(args) -> tuple[int, str]:
     )
     if args.estimator == "cycle" and args.trace is not None:
         raise CliError("--trace requires the slot estimator")
-    result = _bind("run_cycle_sim" if args.estimator == "cycle" else "run_slot_sim")(cfg)
+    result = (cli.run_cycle_sim if args.estimator == "cycle" else cli.run_slot_sim)(cfg)
     emit = emit_result_csv if args.format == "csv" else emit_result_json
     # Rendered first: a result that cannot be emitted leaves no trace file.
     text = emit(result, args.estimator, failure_prob(link), cfg.policy.max_tx)
     if args.trace is not None:
-        _atomic_write(args.trace, lambda tmp: _bind("write_age_trace")(cfg, tmp))
+        _atomic_write(args.trace, lambda tmp: cli.write_age_trace(cfg, tmp))
     return 0, text
 
 
@@ -428,7 +419,7 @@ def _handle_validate(args) -> tuple[int, str]:
     points = len(p_values) * len(max_tx_values)
     if points > MAX_GRID_POINTS:
         raise CliError(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")
-    report = _bind("build_report")(
+    report = sys.modules[__name__].build_report(
         p_values=p_values,
         max_tx_values=max_tx_values,
         energy=EnergyParams(args.es, args.et),
@@ -446,25 +437,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(build_parser(), argv)
         code, text = args.handler(args)
-    except SystemExit as exc:  # argparse has printed usage or help
-        return int(exc.code) if exc.code else 0
-    except (CliError, ValueError) as exc:
-        print(f"aoilink: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"aoilink: error: {exc}", file=sys.stderr)
-        return 1
-    except ImportError as exc:
-        print(f"aoilink: error: {exc} (simulate and validate need numpy)", file=sys.stderr)
-        return 1
-    try:
         if args.output is None:
             sys.stdout.write(text)
         else:
             _atomic_write(args.output, lambda tmp: Path(tmp).write_text(text))
-    except OSError as exc:
-        print(f"aoilink: error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # argparse has printed usage or help
+        return int(exc.code) if exc.code else 0
+    except (CliError, ValueError, OSError, ImportError) as exc:
+        hint = " (simulate and validate need numpy)" if isinstance(exc, ImportError) else ""
+        print(f"aoilink: error: {exc}{hint}", file=sys.stderr)
+        return 2 if isinstance(exc, (CliError, ValueError)) else 1
     return code
 
 

@@ -3,12 +3,12 @@ reports, plus the parsers that make the emitted artifacts round-trip.
 
 CSV floats are printed with 9 significant digits (``p`` in full where those name
 another float) and JSON floats exactly, so an emitted file parses and re-emits to
-the same bytes. Missing fields are empty in CSV and null in JSON; a non-finite
-value is rejected, never printed. Every table (curves, results, reports, and row
-dicts) is rendered from its columns by one renderer, which prints each distinct
-cell of a column once per call; its JSON is that of ``json.dumps(rows, indent=2)``
-over the row dicts, and its CSV quotes text cells by Python 3.13's ``csv.writer``
-rule on every Python (a NUL is rejected).
+the same bytes. Missing fields are empty in CSV and null in JSON. The curve, result
+and report emitters reject a non-finite value; ``rows_to_csv``/``_json`` print it.
+Each table (curves, results, reports, row dicts) is rendered from its columns by
+one renderer, which prints each distinct cell of a column once per call; its JSON
+is that of ``json.dumps(rows, indent=2)`` over the row dicts, and its CSV quotes
+text cells by Python 3.13's ``csv.writer`` rule on every Python (a NUL is rejected).
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import EnergyParams, LinkSpec, Policy, _Checked, _integer, failure_prob
+from .sweep import MAX_GRID_POINTS
 
 __all__ = [
     "SimConfig",
@@ -64,6 +65,14 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_parts(*parts) -> None:
+    """Reject a link, policy or energy (in that order) not of its type."""
+    for value, name, kind in zip(parts, ("link", "policy", "energy"), (LinkSpec, Policy, EnergyParams)):
+        if not isinstance(value, kind):
+            types = " or ".join(t.__name__ for t in getattr(kind, "__args__", (kind,)))
+            raise ValueError(f"{name} must be {types}, got {type(value).__name__}")
+
+
 class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horizon_slots warmup_slots batches",
                                      defaults=(None, 100))):
     """Configuration shared by both estimators.
@@ -76,14 +85,16 @@ class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horiz
     contiguous windows of ``(horizon - warmup) // batches`` samples; any
     remainder still enters the point estimates. The estimators stream in
     chunks of 65,536 slots or 32,768 cycles (a cycle holds about twice a
-    slot's bytes in flight), so memory is flat in the horizon. The
-    seed and the three counts must be integers, and are stored as plain ints.
+    slot's bytes in flight), so memory is flat in the horizon. The link,
+    policy and energy must be of their types, the seed and the three counts
+    integers (stored as plain ints), and ``batches`` at most 10**6.
     """
 
     __slots__ = ()
 
     def __new__(cls, link: LinkSpec, policy: Policy, energy: EnergyParams, seed: int, horizon_slots: int,
                 warmup_slots: int | None = None, batches: int = 100):
+        _check_parts(link, policy, energy)
         seed = _check_seed(seed)
         horizon_slots, batches = _integer("horizon", horizon_slots), _integer("batches", batches)
         if horizon_slots < 1:
@@ -98,8 +109,8 @@ class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horiz
                 f"warmup must satisfy 0 <= warmup < horizon, "
                 f"got warmup={warmup_slots}, horizon={horizon_slots}"
             )
-        if batches < 2:
-            raise ValueError(f"batches must be >= 2, got {batches}")
+        if not 2 <= batches <= MAX_GRID_POINTS:
+            raise ValueError(f"batches must be >= 2 and <= {MAX_GRID_POINTS}, got {batches}")
         if (horizon_slots - warmup_slots) // batches < 1:
             raise ValueError(
                 f"horizon - warmup = {horizon_slots - warmup_slots} "
@@ -344,6 +355,7 @@ def sample_cycles(
     transmissions and the cycle sensed ``ceil(y / max_tx)`` packets. The
     draws are those of :func:`run_cycle_sim` with the same seed.
     """
+    _check_parts(link, policy)
     seed = _check_seed(seed)
     if (cycles := _integer("cycles", cycles)) < 1:
         raise ValueError(f"cycle count must be >= 1, got {cycles}")

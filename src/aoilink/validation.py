@@ -16,7 +16,7 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .analytic import EnergyParams, FixedFailureLink, Policy, avg_aoi, avg_energy
+from .analytic import EnergyParams, FixedFailureLink, Policy, evaluate
 from .simulator import SimConfig, SimResult, _check_seed, run_cycle_sim, run_slot_sim
 
 __all__ = [
@@ -104,26 +104,24 @@ def build_report(
         link = FixedFailureLink(p)
         policy = Policy(max_tx)
         configs = [SimConfig(link, policy, energy, point_seed, n, batches=batches) for n in (slots, cycles)]
-        runs.append((link.p, policy.max_tx, *configs))  # the grid values as the checks stored them
+        runs.append((evaluate(link, policy.max_tx, energy), *configs))  # p and M as the checks stored them
     # The estimators are looked up at call time, so a wrapped binding is the one called.
     results = _in_parallel(
         [lambda cfg=cfg: run_cycle_sim(cfg) for *_, cfg in runs]  # the longer runs first
-        + [lambda cfg=cfg: run_slot_sim(cfg) for _, _, cfg, _ in runs]
+        + [lambda cfg=cfg: run_slot_sim(cfg) for _, cfg, _ in runs]
     )
     points = []
-    for (p, max_tx, *_), cycle_res, slot_res in zip(runs, results, results[len(runs) :]):
-        exact_aoi = avg_aoi(p, max_tx)
-        exact_energy = avg_energy(p, max_tx, energy)
+    for (exact, *_), cycle_res, slot_res in zip(runs, results, results[len(runs) :]):
         points.append(
             ValidationPoint(
-                p=p,
-                max_tx=max_tx,
-                exact_aoi=exact_aoi,
-                exact_energy=exact_energy,
+                p=exact.p,
+                max_tx=exact.max_tx,
+                exact_aoi=exact.avg_aoi,
+                exact_energy=exact.avg_energy,
                 slot=slot_res,
                 cycle=cycle_res,
-                slot_pass=_result_pass(slot_res, exact_aoi, exact_energy),
-                cycle_pass=_result_pass(cycle_res, exact_aoi, exact_energy),
+                slot_pass=_result_pass(slot_res, exact.avg_aoi, exact.avg_energy),
+                cycle_pass=_result_pass(cycle_res, exact.avg_aoi, exact.avg_energy),
             )
         )
     return ValidationReport(

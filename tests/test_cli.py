@@ -767,6 +767,25 @@ def test_io_error_names_the_given_path(tmp_path, capsys, flag, target):
     assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
 
+def test_too_many_batches_exit_2_before_simulating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_slot_sim", lambda cfg: calls.append(cfg))
+    code, out, err = run_cli(capsys, ["simulate", *P_POINT, "--batches", str(10**6 + 1)])
+    assert (code, out, calls) == (2, "", [])
+    assert err == "aoilink: error: batches must be >= 2 and <= 1000000, got 1000001\n"
+
+
+def test_error_while_writing_stdout_prints_one_line(capsys, monkeypatch):
+    # A closed stdout raises ValueError; main reports it like any other error.
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    code = main(["analytic", *P_POINT])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aoilink: error: I/O operation on closed file") and err.count("\n") == 1
+
+
 def test_no_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys, [])
     assert code == 2
@@ -1023,7 +1042,7 @@ FUZZ_VALUES = {
     "--estimator": ["slot", "cycle", "bogus"],
     "--horizon": ["1", "100", "10000", "0"],
     "--warmup": ["0", "10", "9999", "-1"],
-    "--batches": ["1", "2", "100"],
+    "--batches": ["1", "2", "100", str(10**6 + 1)],
     "--seed": ["0", "7", "-1", str(2**64)],
     "--dbm-min": ["2", "-10", "inf"],
     "--dbm-max": ["20", "2", "inf"],

@@ -54,6 +54,29 @@ def test_config_rejects_bad_values():
         make_config(horizon=150, warmup=100, batches=100)  # kept < batches
 
 
+WRONG_PARTS = [
+    ("link", 0.4, "link must be FixedFailureLink or RayleighLink, got float"),
+    ("policy", 3, "policy must be Policy, got int"),
+    ("energy", (1, 1), "energy must be EnergyParams, got tuple"),
+]
+
+
+@pytest.mark.parametrize("field, value, match", WRONG_PARTS, ids=[field for field, *_ in WRONG_PARTS])
+def test_config_rejects_a_part_of_the_wrong_type(field, value, match):
+    # Each used to build, and the run raised AttributeError.
+    parts = {"link": FixedFailureLink(0.4), "policy": Policy(3), "energy": EnergyParams(1.0, 1.0)}
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{**parts, field: value}, seed=1, horizon_slots=1000)
+
+
+def test_config_rejects_more_batches_than_the_grid_limit():
+    # The estimate allocates four rows of batches + 2 ints before it draws, so
+    # 10**8 batches would take gigabytes. Neither config is run.
+    assert make_config(horizon=10**12, batches=10**6).batches == 10**6
+    with pytest.raises(ValueError, match="batches must be >= 2 and <= 1000000, got 1000001"):
+        make_config(horizon=10**12, batches=10**6 + 1)
+
+
 def test_config_stores_plain_ints():
     cfg = make_config(seed=True, horizon=np.int64(5000), warmup=np.uint16(100), batches=np.int32(10))
     assert cfg[3:] == (1, 5000, 100, 10)
@@ -313,6 +336,21 @@ def test_sample_cycles_rejects_a_str_seed():
 def test_sample_cycles_rejects_a_count_that_is_not_an_integer(cycles):
     with pytest.raises(ValueError, match=f"cycles must be an integer, got {cycles!r}"):
         sample_cycles(FixedFailureLink(0.4), Policy(3), 7, cycles)
+
+
+@pytest.mark.parametrize("cycles", [0, -1])
+def test_sample_cycles_rejects_a_count_below_one(cycles):
+    with pytest.raises(ValueError, match=f"cycle count must be >= 1, got {cycles}"):
+        sample_cycles(FixedFailureLink(0.4), Policy(3), 7, cycles)
+
+
+@pytest.mark.parametrize("link, policy, match", [(0.4, Policy(3), WRONG_PARTS[0][2]),
+                                                 (FixedFailureLink(0.4), 3, WRONG_PARTS[1][2])],
+                         ids=["link", "policy"])
+def test_sample_cycles_rejects_a_part_of_the_wrong_type(link, policy, match):
+    # Each used to raise AttributeError from inside the draws.
+    with pytest.raises(ValueError, match=match):
+        sample_cycles(link, policy, 1, 5)
 
 
 def test_empirical_pmfs_match_analytic():

@@ -49,3 +49,9 @@ def test_report_stores_the_grid_values_as_checked():
     assert report == plain
     assert emit_report_json(report) == emit_report_json(plain)
     assert emit_report_csv(report) == emit_report_csv(plain)
+
+
+def test_report_rejects_an_energy_of_the_wrong_type():
+    # A plain tuple used to build its configs and raise AttributeError in the runs.
+    with pytest.raises(ValueError, match="energy must be EnergyParams, got tuple"):
+        build_report([0.4], [3], (1, 1), 1000, 1000, 1)
