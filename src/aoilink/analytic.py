@@ -64,6 +64,14 @@ class _Checked:
         return cls(*fields)
 
 
+def _check_type(name: str, value, kind):
+    """Return ``value`` if it is a ``kind`` (a class or a union of classes), else raise ValueError."""
+    if not isinstance(value, kind):
+        types = " or ".join(t.__name__ for t in getattr(kind, "__args__", (kind,)))
+        raise ValueError(f"{name} must be {types}, got {type(value).__name__}")
+    return value
+
+
 class FixedFailureLink(_Checked, namedtuple("FixedFailureLink", "p")):
     """Channel described directly by its per-slot failure probability."""
 

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import EnergyParams, LinkSpec, Policy, _Checked, _integer, failure_prob
+from .analytic import EnergyParams, LinkSpec, Policy, _Checked, _check_type, _integer, failure_prob
 from .sweep import MAX_GRID_POINTS
 
 __all__ = [
@@ -63,14 +63,6 @@ def _check_seed(seed: int) -> int:
     if not 0 <= (seed := _integer("seed", seed)) < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
-
-
-def _check_parts(*parts) -> None:
-    """Reject a link, policy or energy (in that order) not of its type."""
-    for value, name, kind in zip(parts, ("link", "policy", "energy"), (LinkSpec, Policy, EnergyParams)):
-        if not isinstance(value, kind):
-            types = " or ".join(t.__name__ for t in getattr(kind, "__args__", (kind,)))
-            raise ValueError(f"{name} must be {types}, got {type(value).__name__}")
 
 
 class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horizon_slots warmup_slots batches",
@@ -94,7 +86,8 @@ class SimConfig(_Checked, namedtuple("SimConfig", "link policy energy seed horiz
 
     def __new__(cls, link: LinkSpec, policy: Policy, energy: EnergyParams, seed: int, horizon_slots: int,
                 warmup_slots: int | None = None, batches: int = 100):
-        _check_parts(link, policy, energy)
+        link, policy, energy = map(_check_type, ("link", "policy", "energy"), (link, policy, energy),
+                                   (LinkSpec, Policy, EnergyParams))
         seed = _check_seed(seed)
         horizon_slots, batches = _integer("horizon", horizon_slots), _integer("batches", batches)
         if horizon_slots < 1:
@@ -158,12 +151,9 @@ def _draws(link: LinkSpec, seed: int, n: int) -> Iterator[np.ndarray]:
         yield rng.random(min(_CHUNK, n - start)) < p
 
 
-def _batch_stderr(batch_means: np.ndarray) -> float:
-    b = batch_means.size
-    # Dividing by a power of two is exact; in (-2, 2) the sum and the squares cannot overflow.
-    scale = math.ldexp(0.5, math.frexp(float(np.abs(batch_means).max()))[1])
-    scaled = batch_means / scale
-    return math.sqrt(float(((scaled - scaled.mean()) ** 2).sum()) / (b * (b - 1))) * scale
+def _batch_stderr(batch_means: list[float]) -> float:
+    x = np.array(batch_means)
+    return math.sqrt(float(((x - x.mean()) ** 2).sum()) / (x.size * (x.size - 1)))
 
 
 def _batch_cuts(first: int, c: int, warmup: int, width: int, batches: int) -> tuple[int, list[int]]:
@@ -252,6 +242,8 @@ def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:
     ``cut(first, c)`` (:func:`_batch_cuts` at the run's edges) gives: slots,
     twice the age area, sensing events and deliveries. The age is the area
     per slot, and the energy Et plus Es times the sensing events per slot.
+    Each batch mean is the correctly rounded ratio of its batch's sums, and
+    the energy's standard error Es times that of the sensing rates, in [0, 1].
     """
     warmup, batches = cfg.warmup_slots, cfg.batches
     width = (cfg.horizon_slots - warmup) // batches
@@ -264,21 +256,17 @@ def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:
 
     es, et = cfg.energy.sense_energy, cfg.energy.tx_energy
     kept = sum(slots[1:])
-    k = math.frexp(es)[1]  # Es * 2**-k is in [0.5, 1): times a batch's sensing count it cannot overflow
-    # An energy past the float range gives inf or nan, which the emitters reject.
-    with np.errstate(over="ignore", invalid="ignore"):
-        aoi_means = np.array([a / (2 * n) for a, n in zip(areas2[1:-1], slots[1:-1])])
-        bslots, bsenses = (np.array(row[1:-1], dtype=float) for row in (slots, senses))
-        return SimResult(
-            avg_aoi_est=sum(areas2[1:]) / (2 * kept),
-            avg_energy_est=et + es * (sum(senses[1:]) / kept),
-            stderr_aoi=_batch_stderr(aoi_means),
-            stderr_energy=_batch_stderr(np.ldexp(math.ldexp(es, -k) * bsenses / bslots, k) + et),
-            slots=sum(slots),
-            packets_generated=sum(senses),
-            successes=sum(deliveries),
-            seed=cfg.seed,
-        )
+    # An energy past the float range gives inf, which the emitters reject.
+    return SimResult(
+        avg_aoi_est=sum(areas2[1:]) / (2 * kept),
+        avg_energy_est=et + es * (sum(senses[1:]) / kept),
+        stderr_aoi=_batch_stderr([a / (2 * n) for a, n in zip(areas2[1:-1], slots[1:-1])]),
+        stderr_energy=es * _batch_stderr([s / n for s, n in zip(senses[1:-1], slots[1:-1])]),
+        slots=sum(slots),
+        packets_generated=sum(senses),
+        successes=sum(deliveries),
+        seed=cfg.seed,
+    )
 
 
 def run_slot_sim(cfg: SimConfig) -> SimResult:
@@ -355,7 +343,7 @@ def sample_cycles(
     transmissions and the cycle sensed ``ceil(y / max_tx)`` packets. The
     draws are those of :func:`run_cycle_sim` with the same seed.
     """
-    _check_parts(link, policy)
+    link, policy = map(_check_type, ("link", "policy"), (link, policy), (LinkSpec, Policy))
     seed = _check_seed(seed)
     if (cycles := _integer("cycles", cycles)) < 1:
         raise ValueError(f"cycle count must be >= 1, got {cycles}")

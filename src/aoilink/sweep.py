@@ -29,6 +29,7 @@ from .analytic import (
     _check_nonnegative,
     _check_p,
     _check_positive,
+    _check_type,
     _real,
     dbm_to_watts,
     evaluate,  # noqa: F401  (kept as ``sweep.evaluate``: perfbench's tracer wraps it)
@@ -81,7 +82,8 @@ class MSweep(_Checked, namedtuple("MSweep", "p_list max_tx_list energy")):
     def __new__(cls, p_list: Iterable[float], max_tx_list: Iterable[int], energy: EnergyParams):
         p_list, max_tx_list = _nonempty("p_list", p_list), _nonempty("max_tx_list", max_tx_list)
         _check_size(len(p_list) * len(max_tx_list))
-        return tuple.__new__(cls, (tuple(map(_check_p, p_list)), tuple(map(_check_max_tx, max_tx_list)), energy))
+        return tuple.__new__(cls, (tuple(map(_check_p, p_list)), tuple(map(_check_max_tx, max_tx_list)),
+                                   _check_type("energy", energy, EnergyParams)))
 
     @property
     def size(self) -> int:
@@ -131,7 +133,7 @@ class EsSweep(_Checked, namedtuple("EsSweep", "es_list base normalizer", default
     __slots__ = ()
 
     def __new__(cls, es_list: Iterable[float], base: MSweep | PowerSweep, normalizer: float | None = None):
-        es_list = _nonempty("es_list", es_list)
+        es_list, base = _nonempty("es_list", es_list), _check_type("base", base, MSweep | PowerSweep)
         _check_size(len(es_list) * base.size)
         return tuple.__new__(cls, (tuple(map(_check_nonnegative, repeat("sense energy"), es_list)), base,
                                    None if normalizer is None else _check_positive("normalizer", normalizer)))
@@ -172,35 +174,31 @@ def dbm_grid(dbm_min: float, dbm_max: float, dbm_step: float) -> list[float]:
 
 
 def _m_grid(spec: MSweep):
-    """Cells ``(p, transmit energy, dBm)``, one per p, and per curve its label
-    and ``(cell index, M, age, sensing rate)`` rows."""
-    cells = [(p, spec.energy.tx_energy, None) for p in spec.p_list]
-    ms = sorted(spec.max_tx_list)
-    return cells, [("p=" + _FLOAT_FORMAT.format(p), [(j, m, *_age_and_rate(p, m)) for m in ms]) for j, p in enumerate(spec.p_list)]
+    """Per curve its label and ``(p, M, age, sensing rate, transmit energy, dBm)`` rows."""
+    et, ms = spec.energy.tx_energy, sorted(spec.max_tx_list)
+    return [("p=" + _FLOAT_FORMAT.format(p), [(p, m, *_age_and_rate(p, m), et, None) for m in ms]) for p in spec.p_list]
 
 
 def _power_grid(spec: PowerSweep):
-    """As :func:`_m_grid`, with one cell per dBm point and one curve per M."""
+    """As :func:`_m_grid`, with one curve per M and one row per dBm point."""
     noise = noise_from_reference_snr(dbm_to_watts(spec.ref_power_dbm), spec.snr_ref_db)
-    cells = []
+    cells = []  # (p, transmit energy, dBm), built once for all M
     for dbm in dbm_grid(spec.dbm_min, spec.dbm_max, spec.dbm_step):
         pt_watts = dbm_to_watts(dbm)
         pm = PowerModel(spec.circuit_power, spec.inv_drain_eff, pt_watts, spec.max_power)
         energy = EnergyParams(spec.sense_energy, transmit_energy(pm))  # checks the transmit energy
         cells.append((failure_prob(RayleighLink(spec.rate, noise, pt_watts)), energy.tx_energy, dbm))
     ms = sorted(spec.max_tx_list)
-    return cells, [(f"M={m}", [(j, m, *_age_and_rate(c[0], m)) for j, c in enumerate(cells)]) for m in ms]
+    return [(f"M={m}", [(p, m, *_age_and_rate(p, m), et, dbm) for p, et, dbm in cells]) for m in ms]
 
 
 def _curves(grid, sense_energy: float, divisor=None, prefix="", suffix="") -> list[TradeoffCurve]:
     """A grid's curves at sensing energy ``sense_energy``, every average energy
     divided by ``divisor`` when one is given."""
-    cells, curves = grid
     out = []
-    for label, rows in curves:
+    for label, rows in grid:
         points = []
-        for j, m, age, rate in rows:
-            p, tx_energy, dbm = cells[j]
+        for p, m, age, rate, tx_energy, dbm in rows:
             energy = rate * sense_energy + tx_energy
             points.append(MetricPoint(p, m, age, energy if divisor is None else energy / divisor, dbm))
         out.append(TradeoffCurve(prefix + label + suffix, tuple(points), divisor))

@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,19 +306,38 @@ def test_cycle_sim_single_tx_energy_near_largest_p():
     assert run_cycle_sim(cfg).avg_energy_est == pytest.approx(1.75, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize(
-    "means, expected",
-    [
-        # The deviation 9.9e307 is past 2**1023; in units of 1e306 the squares sum to 99**2 + 99 = 9,900.
-        ([1e308] + [0.0] * 99, 1e306),
-        ([1e308] * 50 + [0.0] * 50, 5e307 / math.sqrt(99)),
-        ([-1e308, 1e308], 1e308),
-        ([1e-320, 0.0], 5e-321),  # subnormal means
-    ],
-    ids=["one-near-max", "half-near-max", "symmetric-max", "subnormal"],
-)
-def test_batch_stderr_at_the_ends_of_the_float_range(means, expected):
-    assert simulator._batch_stderr(np.array(means)) == pytest.approx(expected, rel=1e-12, abs=0)
+def batch_sensing_rates(cfg, runner):
+    """Each full batch's sensing events per slot, the correctly rounded ratio of
+    its exact sums, from counts derived here: the naive per-slot oracle's
+    sensing flags for slots, ``sample_cycles``' counts for cycles."""
+    if runner is run_slot_sim:
+        fails = (np.random.default_rng(cfg.seed).random(cfg.horizon_slots) < cfg.link.p).tolist()
+        rows, _ = reference_trace(fails, cfg.policy.max_tx)
+        senses, slots = [int(row["sensed"]) for row in rows], [1] * len(rows)
+    else:
+        lengths, _, sensed = sample_cycles(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots)
+        senses, slots = sensed.tolist(), lengths.tolist()
+    width = (cfg.horizon_slots - cfg.warmup_slots) // cfg.batches
+    starts = range(cfg.warmup_slots, cfg.warmup_slots + cfg.batches * width, width)
+    return [float(Fraction(sum(senses[i : i + width]), sum(slots[i : i + width]))) for i in starts]
+
+
+def exact_stderr(means):
+    """The batch-means standard error of ``means``, in exact arithmetic to within 2**-200."""
+    b, means = len(means), list(map(Fraction, means))
+    mean = sum(means) / b
+    var = sum((x - mean) ** 2 for x in means) / (b * (b - 1))
+    return Fraction(math.isqrt((var.numerator << 400) // var.denominator), 1 << 200)
+
+
+# Es far below Et, where the spread of the batch energies Et + Es x lost Es x's digits
+# to Et, and the Es and Et of the pinned runs in test_slot_kernel.py.
+@pytest.mark.parametrize("es, et", [(1e-12, 4.0), (1e-9, 1.0), (1.25, 0.5)])
+@pytest.mark.parametrize("runner", [run_slot_sim, run_cycle_sim], ids=["slot", "cycle"])
+def test_energy_stderr_is_es_times_the_sensing_rate_stderr(runner, es, et):
+    cfg = make_config(es=es, et=et, horizon=20_000, warmup=500, batches=10)
+    want = float(Fraction(es) * exact_stderr(batch_sensing_rates(cfg, runner)))
+    assert abs(runner(cfg).stderr_energy - want) <= 4 * math.ulp(want)
 
 
 def test_sample_cycles_rejects_a_seed_past_64_bits():

@@ -101,6 +101,12 @@ def test_m_sweep_rejects_bad_specs():
         MSweep((0.4,), (0,), REF_ENERGY)
 
 
+def test_m_sweep_rejects_an_energy_of_the_wrong_type():
+    # It used to build, and m_sweep raised AttributeError.
+    with pytest.raises(ValueError, match="energy must be EnergyParams, got tuple"):
+        MSweep((0.4,), (3,), (1, 1))
+
+
 # 2**1024 - 1 rounds up to 2**1024 as a float; int(float max) is the largest M accepted.
 @pytest.mark.parametrize("max_tx", [2**1024, 2**1024 - 1], ids=["2**1024", "2**1024-1"])
 def test_max_tx_past_the_float_range_is_rejected(max_tx):
@@ -422,6 +428,12 @@ def test_es_sweep_rejects_bad_specs():
         EsSweep((-1.0,), base)
     with pytest.raises(ValueError):
         EsSweep((1.0,), base, normalizer=0.0)
+
+
+def test_es_sweep_rejects_a_base_of_the_wrong_type():
+    # It used to raise AttributeError.
+    with pytest.raises(ValueError, match="base must be MSweep or PowerSweep, got tuple"):
+        EsSweep([1.0], (1, 2))
 
 
 def rerun_es_sweep(spec):
