@@ -3,16 +3,16 @@
 For each grid point, both estimators must land within
 ``max(3 * stderr, 0.5% relative)`` of the exact value, for both metrics.
 
-:func:`build_report` runs its estimator runs on one thread per usable CPU.
-Each run draws from its own seeded Generator; numpy releases the GIL while
-it draws and loops over arrays, which lets the cycle estimator's runs
-overlap. No result, and no byte of the report, depends on the thread count.
+:func:`build_report` shares its estimator runs between the calling process and
+one forked worker per further usable CPU. Each run draws from its own seeded
+Generator, so no result, and no byte of the report, depends on the worker count.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+import pickle
+import signal
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
@@ -55,30 +55,40 @@ def _usable_cpus() -> int:
 
 
 def _in_parallel(calls: list[Callable[[], SimResult]]) -> list[SimResult]:
-    """The results of ``calls``, taken in order by one thread per usable CPU,
-    the calling thread included. The first exception stops the threads from
-    taking more calls and is raised once all of them have ended."""
-    results, errors, lock, todo = [None] * len(calls), [], threading.Lock(), iter(enumerate(calls))
-
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    i, call = (0, None) if errors else next(todo, (0, None))
-                if call is None:
-                    return
-                results[i] = call()
-        except BaseException as exc:  # an interrupt of the calling thread too
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(min(len(calls), _usable_cpus()) - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    """The results of ``calls``, in order. Of n = min(len(calls), usable CPUs) shares, the caller makes
+    ``calls[0::n]`` and forked worker i ``calls[i::n]``, sending back their results or its first exception; one
+    that dies raises ChildProcessError. Workers are reaped before this returns, and killed if the caller raises."""
+    n = min(len(calls), _usable_cpus()) if calls and hasattr(os, "fork") else 1
+    pipes, pids, sent, results = [], [], None, [None] * len(calls)  # the workers' read ends and pids
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as pipe:  # the caller's copy is closed even if the fork fails
+                if (pid := os.fork()) == 0:  # the worker, which never returns
+                    try:
+                        try:
+                            share = [call() for call in calls[i::n]]
+                        except BaseException as exc:  # an interrupt too
+                            share = exc
+                        pickle.dump(share, pipe)
+                        pipe.close()
+                    finally:
+                        os._exit(not pipe.closed)  # 0 once all is sent
+            pids.append(pid)
+        results[::n] = [call() for call in calls[::n]]
+        sent = [pipe.read() for pipe in pipes]  # all of it before reaping: a full pipe blocks its worker
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids if sent is None else ():  # the caller's share or the reading raised
+            os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for i, (data, status) in enumerate(zip(sent, statuses), 1):
+        share = ChildProcessError(f"validation worker died, wait status {status}") if status else pickle.loads(data)
+        if isinstance(share, BaseException):
+            raise share
+        results[i::n] = share
     return results
 
 

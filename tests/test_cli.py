@@ -711,6 +711,7 @@ def test_validate_grid_past_the_limit_exits_2(capsys, monkeypatch, p_count, m_co
 )
 def test_validate_rejects_a_bad_grid_before_simulating(capsys, monkeypatch, extra):
     calls = []
+    monkeypatch.setattr(validation, "_usable_cpus", lambda: 1)  # calls made in a forked worker would not show
     monkeypatch.setattr(validation, "run_slot_sim", lambda cfg: calls.append(cfg))
     monkeypatch.setattr(validation, "run_cycle_sim", lambda cfg: calls.append(cfg))
     code, out, err = run_cli(capsys, ["validate", "--slots", "2000", *extra])
@@ -723,6 +724,7 @@ def test_cycle_runs_with_warmup_0(capsys, monkeypatch):
     # Both estimators start from a delivery of 0 transmissions at t = 0, so a
     # cycle run whose default warmup is 5 // 10 or 8 // 10 = 0 cycles runs.
     calls = []
+    monkeypatch.setattr(validation, "_usable_cpus", lambda: 1)  # calls made in a forked worker would not show
     for name in ("run_slot_sim", "run_cycle_sim"):
         run = getattr(validation, name)
         monkeypatch.setattr(validation, name, lambda cfg, run=run, name=name: calls.append(name) or run(cfg))
