@@ -10,11 +10,11 @@ Two independent estimators of the average age and average energy:
   sensing events are deterministic functions of it.
 
 Both reduce to one renewal-reward ratio estimate with batch-means standard
-errors (:func:`_estimate`). Each draws and reduces in chunks of ``_CHUNK``
-(65,536) slots or ``_CYCLE_CHUNK`` (32,768) cycles (a cycle holds about twice a
-slot's bytes in flight), so memory is flat in the horizon; each chunk is cut
-at the warmup and batch edges (:func:`_batch_cuts`), and each piece is summed
-into per-batch rows of exact integers, so no result depends on the chunking.
+errors taken in integers from the exact batch sums (:func:`_estimate`). Each
+draws and reduces in chunks of ``_CHUNK`` (65,536) slots or ``_CYCLE_CHUNK``
+(32,768) cycles, so memory is flat in the horizon; each chunk is cut at the
+warmup and batch edges (:func:`_batch_cuts`), and each piece is summed into
+per-batch rows of exact integers, so no result depends on the chunking.
 Randomness comes from numpy's default generator (PCG64) seeded with
 ``SimConfig.seed``: one uniform per slot, or one geometric variate per cycle,
 which :func:`_geometric` draws bit for bit as ``rng.geometric`` does, by numpy's
@@ -151,9 +151,12 @@ def _draws(link: LinkSpec, seed: int, n: int) -> Iterator[np.ndarray]:
         yield rng.random(min(_CHUNK, n - start)) < p
 
 
-def _batch_stderr(batch_means: list[float]) -> float:
-    x = np.array(batch_means)
-    return math.sqrt(float(((x - x.mean()) ** 2).sum()) / (x.size * (x.size - 1)))
+def _batch_stderr(sums: list[int], counts: list[int]) -> float:
+    b, k, total, squares = len(sums), 2 * sum(counts).bit_length() + 80, 0, 0
+    for s, c in zip(sums, counts):  # each ratio in units of 2**-k, floored: unequal ones lie over 2**80 apart
+        total += (r := (s << k) // c)
+        squares += r * r
+    return math.isqrt((b * squares - total**2) // (b * b * (b - 1))) / (1 << k)  # isqrt of (2**k se)**2
 
 
 def _batch_cuts(first: int, c: int, warmup: int, width: int, batches: int) -> tuple[int, list[int]]:
@@ -241,9 +244,8 @@ def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:
     the batch of its first piece and exact integer sums over the pieces that
     ``cut(first, c)`` (:func:`_batch_cuts` at the run's edges) gives: slots,
     twice the age area, sensing events and deliveries. The age is the area
-    per slot, and the energy Et plus Es times the sensing events per slot.
-    Each batch mean is the correctly rounded ratio of its batch's sums, and
-    the energy's standard error Es times that of the sensing rates, in [0, 1].
+    per slot, and the energy Et plus Es times the sensing events per slot; each
+    standard error is :func:`_batch_stderr`'s, the energy's Es times the rates'.
     """
     warmup, batches = cfg.warmup_slots, cfg.batches
     width = (cfg.horizon_slots - warmup) // batches
@@ -260,8 +262,8 @@ def _estimate(cfg: SimConfig, chunks: Callable) -> SimResult:
     return SimResult(
         avg_aoi_est=sum(areas2[1:]) / (2 * kept),
         avg_energy_est=et + es * (sum(senses[1:]) / kept),
-        stderr_aoi=_batch_stderr([a / (2 * n) for a, n in zip(areas2[1:-1], slots[1:-1])]),
-        stderr_energy=es * _batch_stderr([s / n for s, n in zip(senses[1:-1], slots[1:-1])]),
+        stderr_aoi=_batch_stderr(areas2[1:-1], slots[1:-1]) / 2,
+        stderr_energy=es * _batch_stderr(senses[1:-1], slots[1:-1]),
         slots=sum(slots),
         packets_generated=sum(senses),
         successes=sum(deliveries),

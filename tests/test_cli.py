@@ -1740,13 +1740,13 @@ def test_sweep_output_digest(capsys, argv, size, digest):
 
 # Recorded from the slot estimator that summed its kernel's per-slot outputs,
 # before it reduced per run of outcomes; 1e6 slots and cycles at each point. The
-# JSON's stderr_energy cells were recorded again when that error became Es times
-# the standard error of the sensing events per slot; every other byte held.
+# JSON's standard error cells were recorded again, from exact batch means of the
+# naive interpreter's and sample_cycles' counts; every other byte held.
 @pytest.mark.parametrize(
     "fmt, size, digest",
     [
         ("csv", 1314, "766b939a21dc8e92fc263eca4f7e71acb114b58c670100af9f5316dc76bd892f"),
-        ("json", 4691, "f44a4dbd176f19757504c8988142501418cca30df604b1b647635e6da784de1c"),
+        ("json", 4694, "c59f7682c8b89b203df9fd7aceef7a4220aef5302b5e79687fb81be8267005e9"),
     ],
 )
 def test_validate_output_digest(capsys, fmt, size, digest):
@@ -1758,12 +1758,12 @@ def test_validate_output_digest(capsys, fmt, size, digest):
 
 # Recorded before the slot reducer entered each chunk through its last delivery. Near
 # p = 1 each chunk of 65,536 slots is entered up to about a million slots into a failure run.
-# The JSON's stderr_energy cell was recorded again as above.
+# The JSON's standard error cells were recorded again as above.
 @pytest.mark.parametrize(
     "fmt, size, digest",
     [
         ("csv", 189, "b7bb199c57dc96f48c8f714249b8c49c4cb4c74c305e8e956ca83eeb0c3eafe4"),
-        ("json", 317, "8d67d7e881b9af1d11117f9364ca56b0c8fb9dca31593103b8dca53c96f9f064"),
+        ("json", 317, "6f4e9862bf6def5b56904aa292ad814b7ed0c91cdd2137a45daa10b786fa7b2e"),
     ],
 )
 def test_long_failure_run_output_digest(capsys, fmt, size, digest):

@@ -306,38 +306,56 @@ def test_cycle_sim_single_tx_energy_near_largest_p():
     assert run_cycle_sim(cfg).avg_energy_est == pytest.approx(1.75, rel=1e-12, abs=0)
 
 
-def batch_sensing_rates(cfg, runner):
-    """Each full batch's sensing events per slot, the correctly rounded ratio of
-    its exact sums, from counts derived here: the naive per-slot oracle's
-    sensing flags for slots, ``sample_cycles``' counts for cycles."""
+def exact_batch_means(cfg, runner):
+    """Each full batch's mean age and sensing events per slot, exact ratios of
+    its sums, from counts derived here: the naive per-slot oracle's start ages
+    and sensing flags for slots, ``sample_cycles``' counts for cycles."""
     if runner is run_slot_sim:
         fails = (np.random.default_rng(cfg.seed).random(cfg.horizon_slots) < cfg.link.p).tolist()
         rows, _ = reference_trace(fails, cfg.policy.max_tx)
+        # A slot's age rises by 1 from its start age: twice its area is 2 * start + 1.
+        areas2 = [2 * row["age_start"] + 1 for row in rows]
         senses, slots = [int(row["sensed"]) for row in rows], [1] * len(rows)
     else:
-        lengths, _, sensed = sample_cycles(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots)
-        senses, slots = sensed.tolist(), lengths.tolist()
+        lengths, delivered, sensed = sample_cycles(cfg.link, cfg.policy, cfg.seed, cfg.horizon_slots)
+        # A cycle of y slots after a delivery of d transmissions: twice its area is y (2 d + y).
+        slots, prev = lengths.tolist(), [0, *delivered.tolist()]
+        areas2, senses = [y * (2 * d + y) for d, y in zip(prev, slots)], sensed.tolist()
     width = (cfg.horizon_slots - cfg.warmup_slots) // cfg.batches
     starts = range(cfg.warmup_slots, cfg.warmup_slots + cfg.batches * width, width)
-    return [float(Fraction(sum(senses[i : i + width]), sum(slots[i : i + width]))) for i in starts]
+    ages = [Fraction(sum(areas2[i : i + width]), 2 * sum(slots[i : i + width])) for i in starts]
+    return ages, [Fraction(sum(senses[i : i + width]), sum(slots[i : i + width])) for i in starts]
 
 
 def exact_stderr(means):
     """The batch-means standard error of ``means``, in exact arithmetic to within 2**-200."""
-    b, means = len(means), list(map(Fraction, means))
+    b = len(means)
     mean = sum(means) / b
     var = sum((x - mean) ** 2 for x in means) / (b * (b - 1))
     return Fraction(math.isqrt((var.numerator << 400) // var.denominator), 1 << 200)
 
 
 # Es far below Et, where the spread of the batch energies Et + Es x lost Es x's digits
-# to Et, and the Es and Et of the pinned runs in test_slot_kernel.py.
-@pytest.mark.parametrize("es, et", [(1e-12, 4.0), (1e-9, 1.0), (1.25, 0.5)])
+# to Et, and the Es and Et of the pinned runs in test_slot_kernel.py; each at the default
+# p 0.4, and at p 0.1, 0.5 and 1 - 1e-9, where the cycle batch rates spread by far less
+# than their size and rounding each one before taking their spread lost billions of ulps.
+STDERR_CASES = [
+    pytest.param(p, es, et, id=f"{es}-{et}" if p == 0.4 else f"{es}-{et}-p{p}")
+    for p in (0.4, 0.1, 0.5, 1 - 1e-9)
+    for es, et in [(1e-12, 4.0), (1e-9, 1.0), (1.25, 0.5)]
+]
+
+
+@pytest.mark.parametrize("p, es, et", STDERR_CASES)
 @pytest.mark.parametrize("runner", [run_slot_sim, run_cycle_sim], ids=["slot", "cycle"])
-def test_energy_stderr_is_es_times_the_sensing_rate_stderr(runner, es, et):
-    cfg = make_config(es=es, et=et, horizon=20_000, warmup=500, batches=10)
-    want = float(Fraction(es) * exact_stderr(batch_sensing_rates(cfg, runner)))
-    assert abs(runner(cfg).stderr_energy - want) <= 4 * math.ulp(want)
+def test_energy_stderr_is_es_times_the_sensing_rate_stderr(runner, p, es, et):
+    # The age's standard error is that of the exact batch mean ages, too.
+    cfg = make_config(p=p, es=es, et=et, horizon=20_000, warmup=500, batches=10)
+    ages, rates = exact_batch_means(cfg, runner)
+    res = runner(cfg)
+    for got, want in [(res.stderr_aoi, float(exact_stderr(ages))),
+                      (res.stderr_energy, float(Fraction(es) * exact_stderr(rates)))]:
+        assert abs(got - want) <= 2 * math.ulp(want)
 
 
 def test_sample_cycles_rejects_a_seed_past_64_bits():

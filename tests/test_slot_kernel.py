@@ -7,12 +7,12 @@ chunked numpy slot kernel replaced. They pin every estimate (as
 The ``CYCLE_PINNED`` literals were recorded from the cycle estimator that
 drew and reduced all cycles at once, before it streamed by chunk. The slot
 estimator's per-run reducer and the trace's byte renderer are checked here
-against the per-slot kernel and against ``%d`` formatting. Every nonzero
-``stderr_energy`` literal was derived again when that error became Es times
-the batch-means standard error of the sensing events per slot: from the
-sensing counts of the naive interpreter in ``conftest.py`` (slots) or of
-``sample_cycles`` (cycles), each batch's rate the correctly rounded ratio of
-its exact sums.
+against the per-slot kernel and against ``%d`` formatting. Every standard
+error literal was derived again when the standard errors came to be taken
+from the exact batch sums: from the counts of the naive interpreter in
+``conftest.py`` (slots) or of ``sample_cycles`` (cycles), each batch mean an
+exact ``Fraction``, their standard error rounded once, and ``stderr_energy``
+Es times that of the sensing events per slot.
 """
 
 import hashlib
@@ -51,30 +51,30 @@ PINNED = [
      ("0x1.8000000000000p+0", "0x1.c000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
      (65535, 65535, 65535)),
     (0.95, HUGE_M, 2, CHUNK, None, 100,
-     ("0x1.391783db0fb56p+5", "0x1.204f3568a0b3cp-1", "0x1.73b7019cfb171p-1", "0x1.f9b3bacd7a01dp-11"),
+     ("0x1.391783db0fb56p+5", "0x1.204f3568a0b3cp-1", "0x1.73b7019cfb172p-1", "0x1.f9b3bacd7a01dp-11"),
      (65536, 3308, 3307)),
     (0.4, 3, 3, CHUNK + 1, None, 100,
-     ("0x1.50aa897e8cd7ap+1", "0x1.4d564bc1a099cp+0", "0x1.2f51e0e35255cp-7", "0x1.0076d5045a7abp-9"),
+     ("0x1.50aa897e8cd7ap+1", "0x1.4d564bc1a099cp+0", "0x1.2f51e0e35255cp-7", "0x1.0076d5045a7aap-9"),
      (65537, 42045, 39309)),
     (0.95, 1, 4, 2 * CHUNK + 3, None, 100,
-     ("0x1.4f9376f01df47p+4", "0x1.c000000000000p+0", "0x1.648edef9d3ee2p-2", "0x0.0p+0"),
+     ("0x1.4f9376f01df47p+4", "0x1.c000000000000p+0", "0x1.648edef9d3ee1p-2", "0x0.0p+0"),
      (131075, 131075, 6434)),
     (0.7, 6, 5, 2 * CHUNK + 3, 0, 7,
-     ("0x1.581f8bd0ae470p+2", "0x1.d95e39f2a9140p-1", "0x1.2cd5677b48aa4p-5", "0x1.c74a15641e933p-10"),
+     ("0x1.581f8bd0ae470p+2", "0x1.d95e39f2a9140p-1", "0x1.2cd5677b48aa2p-5", "0x1.c74a15641e93ep-10"),
      (131075, 44518, 39274)),
     (0.9999, HUGE_M, 6, 2 * CHUNK + 3, None, 100,
-     ("0x1.db660ed9e9450p+14", "0x1.0011ad1f6fbfcp-1", "0x1.2bd865e9cccbdp+11", "0x1.19f074870bfb6p-15"),
+     ("0x1.db660ed9e9450p+14", "0x1.0011ad1f6fbfcp-1", "0x1.2bd865e9cccbdp+11", "0x1.19f074870bfb7p-15"),
      (131075, 15, 14)),
     # Warmups ending inside the second chunk and exactly at the third.
     (0.4, 2, 9, 3 * CHUNK + 5, CHUNK + 7, 10,
-     ("0x1.3a4aba4aba4acp+1", "0x1.647f447f447f4p+0", "0x1.b4db6d460bbc9p-9", "0x1.91a19cd246c6fp-11"),
+     ("0x1.3a4aba4aba4acp+1", "0x1.647f447f447f4p+0", "0x1.b4db6d460bba1p-9", "0x1.91a19cd246c88p-11"),
      (196613, 140367, 117671)),
     (0.3, 4, 10, 3 * CHUNK, 2 * CHUNK, 3,
-     ("0x1.2905800000000p+1", "0x1.6247800000000p+0", "0x1.d08f0a83c29b9p-7", "0x1.fe22ee039876bp-9"),
+     ("0x1.2905800000000p+1", "0x1.6247800000000p+0", "0x1.d08f0a83c2996p-7", "0x1.fe22ee0398722p-9"),
      (196608, 138646, 137521)),
     # Its third chunk has no delivery at all (asserted below).
     (0.99999, 10**9, 8, 3 * CHUNK, 100, 50,
-     ("0x1.af0061955f732p+15", "0x1.0002805360308p-1", "0x1.18cf4b773abbbp+12", "0x1.6a156771d98c8p-17"),
+     ("0x1.af0061955f732p+15", "0x1.0002805360308p-1", "0x1.18cf4b773abbcp+12", "0x1.6a156771d98c8p-17"),
      (196608, 4, 3)),
 ]
 
@@ -84,58 +84,51 @@ CYCLE_PINNED = [
      ("0x1.8000000000000p+0", "0x1.c000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
      (65535, 65535, 65535)),
     (0.1, 3, 22, CHUNK + 1, None, 100,
-     ("0x1.b7e2e904aa394p+0", "0x1.a06a4cf0764d6p+0", "0x1.4a82b84c39f7ap-9", "0x1.4cede950643dep-10"),
+     ("0x1.b7e2e904aa394p+0", "0x1.a06a4cf0764d6p+0", "0x1.4a82b84c39f7bp-9", "0x1.4cede950643e1p-10"),
      (72764, 65596, 65537)),
     # Batch widths that do not divide the chunk.
     (0.4, 6, 23, 2 * CHUNK + 3, None, 7,
-     ("0x1.67acc076f60d0p+1", "0x1.40aed848314e2p+0", "0x1.d8f4c1d06a0d6p-8", "0x1.654f4f3439f90p-10"),
+     ("0x1.67acc076f60d0p+1", "0x1.40aed848314e2p+0", "0x1.d8f4c1d06a0c1p-8", "0x1.654f4f3439fb1p-10"),
      (218516, 131598, 131075)),
     (0.4, 10**9, 28, 2 * CHUNK + 3, 3, 99,
-     ("0x1.69dc021b580f7p+1", "0x1.4031a0036a7b6p+0", "0x1.a67b4bbdf7b2ap-8", "0x1.50a61d4ef7328p-10"),
+     ("0x1.69dc021b580f7p+1", "0x1.4031a0036a7b6p+0", "0x1.a67b4bbdf7b29p-8", "0x1.50a61d4ef7329p-10"),
      (218241, 131075, 131075)),
     (0.7, 6, 26, 3 * CHUNK, 1, 3,
-     ("0x1.5830cd66f9aaep+2", "0x1.d9cbe1d5388d0p-1", "0x1.e693b3bad14fdp-7", "0x1.515f5b144c94ap-11"),
+     ("0x1.5830cd66f9aaep+2", "0x1.d9cbe1d5388d0p-1", "0x1.e693b3bad152ep-7", "0x1.515f5b144c9adp-11"),
      (654617, 222771, 196608)),
     (0.95, 1, 27, CHUNK + 1, 1, 2,
-     ("0x1.494954208e920p+4", "0x1.c000000000000p+0", "0x1.cbb7ea3205300p-5", "0x0.0p+0"),
+     ("0x1.494954208e920p+4", "0x1.c000000000000p+0", "0x1.cbb7ea32052d8p-5", "0x0.0p+0"),
      (1314516, 1314516, 65537)),
     # Warmups ending inside the second chunk, inside the third and at the second.
     (0.7, HUGE_M, 24, 2 * CHUNK + 3, CHUNK + 7, 13,
-     ("0x1.8b5ca097c3d1fp+2", "0x1.c052f1ddaf10ap-1", "0x1.9781ff4b50a6dp-6", "0x1.38664f5aa6e1ap-10"),
+     ("0x1.8b5ca097c3d1fp+2", "0x1.c052f1ddaf10ap-1", "0x1.9781ff4b50a64p-6", "0x1.38664f5aa6e1dp-10"),
      (436412, 131075, 131075)),
     (0.95, 3, 25, 3 * CHUNK + 5, 2 * CHUNK + 1, 10,
-     ("0x1.5792e01e7d4bcp+4", "0x1.e05fdf4899b86p-1", "0x1.1369e4e71a31dp-3", "0x1.461f4da6be0e4p-13"),
+     ("0x1.5792e01e7d4bcp+4", "0x1.e05fdf4899b86p-1", "0x1.1369e4e71a31dp-3", "0x1.461f4da6be11ap-13"),
      (3925460, 1376212, 196613)),
     (0.1, 1, 29, 2 * CHUNK + 3, CHUNK, 100,
-     ("0x1.9bfb9ee8f776ap+0", "0x1.c000000000000p+0", "0x1.68b1dac13a420p-10", "0x0.0p+0"),
+     ("0x1.9bfb9ee8f776ap+0", "0x1.c000000000000p+0", "0x1.68b1dac13a41ep-10", "0x0.0p+0"),
      (145438, 145438, 131075)),
     (0.99999, HUGE_M, 30, 2 * CHUNK + 3, None, 100,
-     ("0x1.88da6b86302cap+17", "0x1.0001a1faee761p-1", "0x1.47b90ba1db033p+9", "0x1.2068c8bc00f7bp-25"),
+     ("0x1.88da6b86302cap+17", "0x1.0001a1faee761p-1", "0x1.47b90ba1db033p+9", "0x1.2068c8bc00f7ep-25"),
      (13156402864, 131075, 131075)),
-]
-
-# Near p = 1 the float sums of cycle lengths and areas pass 2**52 and are
-# rounded, so they depend on the summation order, which chunking changed:
-# these estimates differ from the recorded ones in the last bits only.
-CYCLE_ROUNDED = [
+    # Near p = 1, where the summed areas pass 2**53 (EXACT_AREAS below).
     (1 - 1e-9, 3, 41, 500_000, None, 100,
-     ("0x1.dbaac819c4eb3p+29", "0x1.d5555558ea09bp-1", "0x1.0a823f2ecc53fp+21", "0x1.c4a3545dbce62p-41"),
+     ("0x1.dbaac819c4eb3p+29", "0x1.d5555558ea09bp-1", "0x1.0a823f2ecc540p+21", "0x1.c4a359957a37ap-41"),
      (499727911381158, 166575970627045, 500000)),
     (1 - 1e-9, HUGE_M, 43, 4 * CHUNK + 1, CHUNK + 3, 10,
-     ("0x1.dc98ad42e7ac2p+30", "0x1.0000000abc2bcp-1", "0x1.f2deff08477abp+21", "0x1.71ce8a381bae9p-39"),
+     ("0x1.dc98ad42e7ac2p+30", "0x1.0000000abc2bcp-1", "0x1.f2deff0847779p+21", "0x1.71ce8a381bafep-39"),
      (262347311647242, 262145, 262145)),
 ]
 
 # The same columns, plus which draw chunks of CYCLE_CHUNK cycles are reduced in
-# Python ints (object dtype) because their doubled areas could pass 2**63. The
-# estimates were recorded before the cycle path computed its arrays in place,
-# when the first config reduced one of its 2**16-cycle chunks in Python ints.
+# Python ints (object dtype) because their doubled areas could pass 2**63.
 CYCLE_OBJECT = [
     (0.999998, 3, 38, 3 * CHUNK + 2, CHUNK + 5, 10,
-     ("0x1.e6d4851771371p+18", "0x1.d555714bafd20p-1", "0x1.de3e4261e52cfp+10", "0x1.a4deee05deaf3p-29"),
+     ("0x1.e6d4851771371p+18", "0x1.d555714bafd20p-1", "0x1.de3e4261e52d2p+10", "0x1.a4deee07025f2p-29"),
      (98172893736, 32724363438, 196610), [False] * 7),
     (1 - 1e-9, HUGE_M, 44, CHUNK + 3, 1, 10,
-     ("0x1.dcdd1aaa121cdp+30", "0x1.0000000abcdb4p-1", "0x1.119701e2e62fbp+23", "0x1.2e5b99480adcep-38"),
+     ("0x1.dcdd1aaa121cdp+30", "0x1.0000000abcdb4p-1", "0x1.119701e2e62fdp+23", "0x1.2e5b99480adccp-38"),
      (65536528595058, 65539, 65539), [True, True, True]),
 ]
 
@@ -234,14 +227,6 @@ def test_cycle_sim_pinned(p, max_tx, seed, horizon, warmup, batches, pinned, cou
     assert (res.slots, res.packets_generated, res.successes) == counts
 
 
-@pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches, pinned, counts", CYCLE_ROUNDED)
-def test_cycle_sim_rounded_sums_near_pinned(p, max_tx, seed, horizon, warmup, batches, pinned, counts):
-    res = run_cycle_sim(config(p, max_tx, seed, horizon, warmup, batches))
-    for got, want in zip(estimates(res), pinned):
-        assert math.isclose(got, float.fromhex(want), rel_tol=1e-12, abs_tol=0.0)
-    assert (res.slots, res.packets_generated, res.successes) == counts
-
-
 @pytest.mark.parametrize("p, max_tx, seed, horizon, warmup, batches, pinned, counts, object_chunks", CYCLE_OBJECT)
 def test_cycle_sim_object_path_pinned(p, max_tx, seed, horizon, warmup, batches, pinned, counts, object_chunks):
     cfg = config(p, max_tx, seed, horizon, warmup, batches)
@@ -267,7 +252,7 @@ def exact_mean_age(lengths, delivered, warmup):
 
 # Configs whose summed areas pass 2**53; those of the *_past_int64 tests in
 # test_simulator.py (the last three) also pass 2**63.
-EXACT_AREAS = [row[:6] for row in CYCLE_ROUNDED] + [
+EXACT_AREAS = [row[:6] for row in CYCLE_PINNED[-2:]] + [
     (1 - 1e-14, 1, 7, 200_000, 1, 100),
     (1 - 1e-14, 3, 7, 200_000, 1, 100),
     (1 - 1e-15, 3, 7, 20_000, 1, 100),
