@@ -416,9 +416,6 @@ def _handle_validate(args) -> tuple[int, str]:
         _unused(args, tuple(_VALIDATE_GRID), "cannot be combined with --grid")
     p_values = parse_float_list(_VALIDATE_GRID["--p"] if args.p is None else args.p, "--p")
     max_tx_values = parse_int_list(_VALIDATE_GRID["--M"] if args.M is None else args.M, "--M")
-    points = len(p_values) * len(max_tx_values)
-    if points > MAX_GRID_POINTS:
-        raise CliError(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")
     report = sys.modules[__name__].build_report(
         p_values=p_values,
         max_tx_values=max_tx_values,

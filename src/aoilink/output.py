@@ -20,6 +20,7 @@ import math
 from collections.abc import Mapping, Sequence
 from itertools import chain, repeat
 
+import aoilink  # annotations name aoilink.SimResult and aoilink.ValidationReport, which load numpy on first use
 from .sweep import _FLOAT_FORMAT, TradeoffCurve
 
 __all__ = [
@@ -222,25 +223,25 @@ def parse_json(text: str) -> list[dict[str, object]]:
     return rows
 
 
-def _result_columns(result: SimResult, estimator: str, p: float, max_tx: int) -> list[Sequence[object]]:
+def _result_columns(result: aoilink.SimResult, estimator: str, p: float, max_tx: int) -> list[Sequence[object]]:
     cells = (estimator, p, max_tx, result.avg_aoi_est, result.stderr_aoi, result.avg_energy_est,
              result.stderr_energy, result.slots, result.packets_generated, result.successes, result.seed)
     return _checked(RESULT_FIELDS, [(cell,) for cell in cells])
 
 
-def result_rows(result: SimResult, estimator: str, p: float, max_tx: int) -> list[dict[str, object]]:
+def result_rows(result: aoilink.SimResult, estimator: str, p: float, max_tx: int) -> list[dict[str, object]]:
     return _dicts(RESULT_FIELDS, _result_columns(result, estimator, p, max_tx))
 
 
-def emit_result_csv(result: SimResult, estimator: str, p: float, max_tx: int) -> str:
+def emit_result_csv(result: aoilink.SimResult, estimator: str, p: float, max_tx: int) -> str:
     return _render(RESULT_FIELDS, _result_columns(result, estimator, p, max_tx), "csv")
 
 
-def emit_result_json(result: SimResult, estimator: str, p: float, max_tx: int) -> str:
+def emit_result_json(result: aoilink.SimResult, estimator: str, p: float, max_tx: int) -> str:
     return _render(RESULT_FIELDS, _result_columns(result, estimator, p, max_tx), "json")
 
 
-def _report_columns(report: ValidationReport) -> list[Sequence[object]]:
+def _report_columns(report: aoilink.ValidationReport) -> list[Sequence[object]]:
     rows = [
         (pt.p, pt.max_tx, pt.exact_aoi, pt.exact_energy,
          pt.slot.avg_aoi_est, pt.slot.stderr_aoi, pt.slot.avg_energy_est, pt.slot.stderr_energy, pt.slot_pass,
@@ -250,15 +251,15 @@ def _report_columns(report: ValidationReport) -> list[Sequence[object]]:
     return _checked(REPORT_FIELDS, [*zip(*rows)] or [()] * len(REPORT_FIELDS))
 
 
-def report_rows(report: ValidationReport) -> list[dict[str, object]]:
+def report_rows(report: aoilink.ValidationReport) -> list[dict[str, object]]:
     return _dicts(REPORT_FIELDS, _report_columns(report))
 
 
-def emit_report_csv(report: ValidationReport) -> str:
+def emit_report_csv(report: aoilink.ValidationReport) -> str:
     return _render(REPORT_FIELDS, _report_columns(report), "csv")
 
 
-def emit_report_json(report: ValidationReport) -> str:
+def emit_report_json(report: aoilink.ValidationReport) -> str:
     """Validation report as JSON: per-point rows plus the global verdict."""
     points = _render(REPORT_FIELDS, _report_columns(report), "json")
     passed = sum(1 for pt in report.points if pt.slot_pass and pt.cycle_pass)

@@ -222,7 +222,8 @@ def es_sweep(spec: EsSweep) -> list[TradeoffCurve]:
     """
     base, m_base, tx_ref = spec.base, isinstance(spec.base, MSweep), spec.normalizer
     if tx_ref is None:  # the base's transmit energy, or its energy per slot at full power
-        tx_ref = base.energy.tx_energy if m_base else base.circuit_power + base.inv_drain_eff * base.max_power
+        tx_ref = base.energy.tx_energy if m_base else transmit_energy(
+            PowerModel(base.circuit_power, base.inv_drain_eff, base.max_power, base.max_power))
     grid = (_m_grid if m_base else _power_grid)(base)
     out = []
     for es in spec.es_list:
@@ -239,7 +240,7 @@ def normalize_curve(curve: TradeoffCurve, normalizer: float) -> TradeoffCurve:
     so repeated normalizations compose.
     """
     _check_positive("normalizer", normalizer)
-    points = tuple(pt._replace(avg_energy=pt.avg_energy / normalizer) for pt in curve.points)
+    points = tuple(MetricPoint(p, m, aoi, energy / normalizer, dbm) for p, m, aoi, energy, dbm in curve.points)
     total = normalizer if curve.normalizer is None else curve.normalizer * normalizer
     return TradeoffCurve(curve.label + _DIVIDED_BY.format(normalizer), points, total)
 

@@ -18,6 +18,7 @@ from collections.abc import Callable, Sequence
 
 from .analytic import EnergyParams, FixedFailureLink, Policy, evaluate
 from .simulator import SimConfig, SimResult, _check_seed, run_cycle_sim, run_slot_sim
+from .sweep import MAX_GRID_POINTS
 
 __all__ = [
     "ValidationPoint",
@@ -107,6 +108,8 @@ def build_report(
     seed and the point's position, so points are independent runs while the
     whole report stays reproducible from one seed.
     """
+    if (size := len(p_values) * len(max_tx_values)) > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {size} points exceeds the limit of {MAX_GRID_POINTS}")
     seed = _check_seed(seed)
     runs = []  # every config is built, and so checked, before any estimator runs
     for index, (p, max_tx) in enumerate((p, m) for p in p_values for m in max_tx_values):

@@ -1,13 +1,14 @@
 import csv
 import gc
 import hashlib
-import importlib.util
+import importlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -690,14 +691,11 @@ def test_validate_grid_at_the_limit_reaches_build_report(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("p_count, m_count", [(1001, 1000), (1_000_001, 1)])
-def test_validate_grid_past_the_limit_exits_2(capsys, monkeypatch, p_count, m_count):
-    calls = []
-    monkeypatch.setattr(cli, "build_report", lambda **kwargs: calls.append(kwargs))
+def test_validate_grid_past_the_limit_exits_2(capsys, p_count, m_count):
+    # Through the real build_report, whose guard comes before its first config.
     code, out, err = run_cli(capsys, validate_grid_argv(p_count, m_count))
-    assert code == 2
-    assert out == "" and calls == []
-    assert err.startswith("aoilink: error:") and err.count("\n") == 1
-    assert f"grid of {p_count * m_count} points exceeds the limit of 1000000" in err
+    assert (code, out) == (2, "")
+    assert err == f"aoilink: error: grid of {p_count * m_count} points exceeds the limit of 1000000\n"
 
 
 @pytest.mark.parametrize(
@@ -967,14 +965,11 @@ def test_help_exits_0(capsys, command):
     assert out.startswith("usage: aoilink " + " ".join(command))
 
 
-def test_make_tradeoff_curves_script(tmp_path, capsys, monkeypatch):
+def test_make_tradeoff_curves_script(tmp_path):
+    # The experiments need only the standard library: the script runs where numpy cannot be imported.
     script = Path(__file__).resolve().parents[1] / "scripts" / "make_tradeoff_curves.py"
-    spec = importlib.util.spec_from_file_location("make_tradeoff_curves", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
-    module.main()
-    capsys.readouterr()
+    run_without_numpy("import runpy; sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')",
+                      str(script), "--outdir", str(tmp_path))
     points = {path.name: len(csv_rows(path.read_text())) for path in tmp_path.iterdir()}
     assert points == {
         "m_sweep_constant_power.csv": 24,
@@ -989,22 +984,6 @@ def test_make_tradeoff_curves_script(tmp_path, capsys, monkeypatch):
         "power_control_sweep.csv": "6acc3133524c4cb29e8109fd93aee9c707f1ab78e20b139310b0485b6d2b882c",
         "es_sweep_power_control.csv": "926b863cf8ac91969a3ffdc559327e1854a9ebc7d68c703b53abd62fe68e20e3",
     }
-    # p prints in full where 9 digits do not parse back to it; every other byte is as
-    # when p always had 9 digits, which gave these digests.
-    nine_digit_p = {path.name: hashlib.sha256(with_nine_digit_p(path.read_text()).encode()).hexdigest()
-                    for path in tmp_path.iterdir()}
-    assert nine_digit_p == {
-        "m_sweep_constant_power.csv": "02b85ddac23274ef1232a9d00963873e389776565f9d1cb8e9265ff5c7da0b8a",
-        "es_sweep_constant_power.csv": "b9500ec5db5b4716c2d84bd60afd44b6d2ad3a08913a381fcd9f769753d109b9",
-        "power_control_sweep.csv": "baf228569cc8ee4fc6be0ca602e766703e989620cb1fa1d929faf71cdf9b0e84",
-        "es_sweep_power_control.csv": "91297dd8f6505415136eb1d71a22fd1141d954ed57406c84056f15e25532cf6c",
-    }
-
-
-def with_nine_digit_p(text):
-    """A curve CSV whose labels hold no comma, with every p cell printed with 9 digits."""
-    head, *lines = text.splitlines(keepends=True)
-    return head + "".join(f"{label},{float(p):.9g},{rest}" for label, p, rest in (line.split(",", 2) for line in lines))
 
 
 POINT_FLAGS = ("--p", "--M", "--es", "--et", "--pt-dbm", "--rate", "--sigma2",
@@ -1212,6 +1191,16 @@ PUBLIC_NAMES = {
 }
 
 
+def run_without_numpy(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter that imports this aoilink and in
+    which ``import numpy`` raises ImportError, as where numpy is not installed."""
+    src = str(Path(aoilink.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", 'import sys; sys.modules["numpy"] = None; ' + code, *args],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
 def test_closed_form_path_does_not_import_numpy():
     seen = run_fresh(f"""
 import contextlib, io, json, sys
@@ -1253,6 +1242,22 @@ print(json.dumps(steps))
 """, "-S")
     assert len(seen) == 2 + len(CLOSED_FORM_CALLS)
     assert not any(seen.values()), seen
+
+
+def test_public_type_hints_resolve():
+    # A string annotation names its type through its module's globals; the types
+    # that need numpy are reached through the package, which loads them on first use.
+    unresolved = []
+    for module in ("", ".analytic", ".sweep", ".output", ".simulator", ".validation", ".cli"):
+        module = importlib.import_module("aoilink" + module)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            for target in (obj, obj.__new__) if isinstance(obj, type) else (obj,) if callable(obj) else ():
+                try:
+                    typing.get_type_hints(target)
+                except NameError as exc:
+                    unresolved.append(f"{module.__name__}.{name}: {exc}")
+    assert unresolved == []
 
 
 def test_traced_targets_resolve_after_importing_the_cli():
@@ -1731,10 +1736,9 @@ P_GRID = ",".join(f"{(j + 0.5) / 101:.6f}" for j in range(100))
     ],
     ids=["power-pareto-json", "es-power-json", "m-csv", "m-json", "es-m-json", "m-zero-csv", "m-zero-json"],
 )
-def test_sweep_output_digest(capsys, argv, size, digest):
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0
-    data = out.encode()
+def test_sweep_output_digest(argv, size, digest):
+    # The closed forms need only the standard library: each sweep runs where numpy cannot be imported.
+    data = run_without_numpy("from aoilink.cli import main; sys.exit(main(sys.argv[1:]))", *argv).stdout
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
@@ -1860,6 +1864,32 @@ def test_main_leaves_the_collector_alone(capsys):
     code, _, _ = run_cli(capsys, SIMULATE_ARGV)
     assert code == 0
     assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--estimator", "slot", "--p", "0.4", "--M", "6", "--es", "1", "--et", "1",
+         "--horizon", "500000", "--seed", "3", "--trace"],
+        ["validate", "--grid", "default"],
+        ["sweep", "m", "--p", "0.1,0.4,0.7", "--M", "1..100", *REF],
+    ],
+    ids=["simulate-trace", "validate", "sweep-m"],
+)
+def test_entry_point_and_main_print_the_same_bytes(tmp_path, argv):
+    # python -m aoilink runs with the cyclic GC off and freezes the heap before exit;
+    # main() called from a plain interpreter runs with the GC on. No byte may depend on it.
+    src = str(Path(aoilink.__file__).resolve().parents[1])
+    main_script = "import gc, sys; from aoilink.cli import main; assert gc.isenabled(); sys.exit(main(sys.argv[1:]))"
+    traced, seen = argv[-1] == "--trace", []
+    for name, command in [("entry", ["-m", "aoilink"]), ("main", ["-c", main_script])]:
+        trace = tmp_path / f"{name}.csv"
+        proc = subprocess.run([sys.executable, *command, *argv, *([str(trace)] if traced else [])],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        seen.append((proc.returncode, proc.stdout, trace.read_bytes() if traced else None))
+    code, out, _ = seen[0]
+    assert code == 0 and out
+    assert seen[1] == seen[0]
 
 
 @pytest.mark.parametrize("user_value", [None, "3"])

@@ -1,10 +1,11 @@
-"""The estimator agreement criterion where its 0.5 % floor binds, and the report's seed."""
+"""The estimator agreement criterion where its 0.5 % floor binds, and the report's seed and grid size."""
 
 import numpy as np
 import pytest
 
 from aoilink.analytic import EnergyParams
 from aoilink.output import emit_report_csv, emit_report_json
+import aoilink.validation as validation
 from aoilink.validation import build_report, within_tolerance
 
 
@@ -55,3 +56,19 @@ def test_report_rejects_an_energy_of_the_wrong_type():
     # A plain tuple used to build its configs and raise AttributeError in the runs.
     with pytest.raises(ValueError, match="energy must be EnergyParams, got tuple"):
         build_report([0.4], [3], (1, 1), 1000, 1000, 1)
+
+
+# A float seed would be rejected, and a config built, only after the grid's size.
+@pytest.mark.parametrize("seed", [7, 7.0])
+def test_report_rejects_a_grid_past_the_limit_first(monkeypatch, seed):
+    configs = []
+    monkeypatch.setattr(validation, "SimConfig", lambda *args, **kwargs: configs.append(args))
+    with pytest.raises(ValueError, match="^grid of 1001000 points exceeds the limit of 1000000$"):
+        build_report([0.4] * 1001, range(1, 1001), *GRID[2:], seed)
+    assert configs == []
+
+
+def test_report_takes_a_grid_at_the_limit():
+    # Past the size check, the first config rejects the horizon of 0 slots.
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        build_report([0.4] * 1000, range(1, 1001), EnergyParams(1.0, 1.0), 0, 0, 7)
